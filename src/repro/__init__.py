@@ -32,24 +32,16 @@ Scenario sweeps (declarative what-ifs, one 2-D kernel)::
     print(cube.totals("operational"))                     # (4,) MT CO2e
 """
 
+from repro._lazy import attach
 from repro._version import __version__
-from repro.core import (
-    EasyC,
-    SystemRecord,
-    CarbonEstimate,
-    CarbonKind,
-    EstimateMethod,
-    SystemAssessment,
-    OperationalModel,
-    EmbodiedModel,
-    equivalences,
-)
-from repro.study import Top500CarbonStudy, StudyResult, run_default_study
 
-__all__ = [
-    "__version__",
-    "EasyC", "SystemRecord", "CarbonEstimate", "CarbonKind",
-    "EstimateMethod", "SystemAssessment",
-    "OperationalModel", "EmbodiedModel", "equivalences",
-    "Top500CarbonStudy", "StudyResult", "run_default_study",
-]
+# Re-exports resolve on first access (PEP 562): importing any repro
+# submodule — the CLI above all — must not drag in numpy and the
+# study pipeline just because the package ``__init__`` runs first.
+__getattr__, __dir__, _exports = attach(__name__, {
+    "core": ("EasyC", "SystemRecord", "CarbonEstimate", "CarbonKind",
+             "EstimateMethod", "SystemAssessment",
+             "OperationalModel", "EmbodiedModel", "equivalences"),
+    "study": ("Top500CarbonStudy", "StudyResult", "run_default_study"),
+})
+__all__ = ["__version__", *_exports]

@@ -47,9 +47,6 @@ import sys
 import time
 
 from repro import __version__, obs
-from repro.core.easyc import EasyC
-from repro.core.record import SystemRecord
-from repro.hardware.memory import MemoryType
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,6 +356,9 @@ def cmd_report() -> int:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
+    from repro.core.easyc import EasyC
+    from repro.core.record import SystemRecord
+    from repro.hardware.memory import MemoryType
     mem_type = MemoryType.parse(args.memory_type) if args.memory_type else None
     record = SystemRecord(
         rank=1, name=args.name, country=args.country, region=args.region,

@@ -16,41 +16,26 @@ Public surface:
   the semantic reference; see ``docs/performance.md``).
 """
 
-from repro.core.record import SystemRecord, TOP500_DATA_ITEMS
-from repro.core.metrics import (
-    KeyMetric,
-    REQUIRED_METRICS,
-    OPTIONAL_METRICS,
-    RequirementCheck,
-    check_operational,
-    check_embodied,
-    missing_metrics,
-    metric_present,
-)
-from repro.core.estimate import (
-    CarbonEstimate,
-    CarbonKind,
-    EstimateMethod,
-    SystemAssessment,
-)
-from repro.core.operational import OperationalModel
-from repro.core.embodied import EmbodiedModel, fab_carbon_per_cm2, die_embodied_kg
-from repro.core.easyc import EasyC
-from repro.core.equivalences import Equivalence, equivalences
-from repro.core.vectorized import (
-    FleetFrame,
-    batch_embodied_mt,
-    batch_operational_mt,
-    fleet_frame,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "SystemRecord", "TOP500_DATA_ITEMS",
-    "KeyMetric", "REQUIRED_METRICS", "OPTIONAL_METRICS",
-    "RequirementCheck", "check_operational", "check_embodied",
-    "missing_metrics", "metric_present",
-    "CarbonEstimate", "CarbonKind", "EstimateMethod", "SystemAssessment",
-    "OperationalModel", "EmbodiedModel", "fab_carbon_per_cm2", "die_embodied_kg",
-    "EasyC", "Equivalence", "equivalences",
-    "FleetFrame", "fleet_frame", "batch_operational_mt", "batch_embodied_mt",
-]
+# ``equivalences`` is both a submodule and the function re-exported
+# under the same name.  Binding it eagerly (the module is stdlib-only)
+# keeps ``repro.core.equivalences`` the function even after an explicit
+# ``import repro.core.equivalences``, which would otherwise leave the
+# submodule in the package namespace where no lazy lookup can fix it.
+from repro.core.equivalences import Equivalence, equivalences
+
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "record": ("SystemRecord", "TOP500_DATA_ITEMS"),
+    "metrics": ("KeyMetric", "REQUIRED_METRICS", "OPTIONAL_METRICS",
+                "RequirementCheck", "check_operational", "check_embodied",
+                "missing_metrics", "metric_present"),
+    "estimate": ("CarbonEstimate", "CarbonKind", "EstimateMethod",
+                 "SystemAssessment"),
+    "operational": ("OperationalModel",),
+    "embodied": ("EmbodiedModel", "fab_carbon_per_cm2", "die_embodied_kg"),
+    "easyc": ("EasyC",),
+    "equivalences": ("Equivalence", "equivalences"),
+    "vectorized": ("FleetFrame", "fleet_frame", "batch_operational_mt",
+                   "batch_embodied_mt"),
+})

@@ -214,11 +214,18 @@ def _proxy_interp(pub_est: dict[int, float],
     *place* holes so that re-interpolating the finished public column
     lands near the printed hole totals.
     """
-    ranks = [r for r in range(1, 501) if r not in skip]
     out: dict[int, float] = {}
     for r in range(1, 501):
-        peers = sorted((q for q in ranks if q != r), key=lambda q: abs(q - r))
-        nearest = peers[:10]
+        # Walk outward, below before above: exactly the order a stable
+        # sort of the ascending peers by ``abs(q - r)`` yields, so the
+        # float sum below adds the same terms in the same order.
+        nearest: list[int] = []
+        d = 1
+        while len(nearest) < 10 and d < 500:
+            for q in (r - d, r + d):
+                if 1 <= q <= 500 and q not in skip and len(nearest) < 10:
+                    nearest.append(q)
+            d += 1
         out[r] = sum(pub_est[q] for q in nearest) / len(nearest)
     return out
 

@@ -21,13 +21,18 @@ Distributions are calibrated to the real list's public shape:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
+from typing import TypeVar
 
 import numpy as np
 
 from repro.hardware.cpus import CPU_CATALOG
 from repro.hardware.gpus import GPU_CATALOG
 from repro.hardware.memory import MemoryType
+
+T = TypeVar("T")
 
 #: Rmax power-law calibration (TFlop/s).
 RMAX_RANK1_TFLOPS: float = 1.742e6
@@ -163,11 +168,30 @@ def accel_probability(rank: int) -> float:
     return ACCEL_PROB_BY_BAND[-1][1]
 
 
-def _weighted_choice(rng: np.random.Generator, table: tuple[tuple[str, float], ...]) -> str:
-    names = [n for n, _ in table]
+@cache
+def _cdf(table: tuple[tuple[str, float], ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(names, cdf)`` of one weight table, exactly as ``choice`` builds it."""
     weights = np.array([w for _, w in table], dtype=float)
-    weights = weights / weights.sum()
-    return str(rng.choice(names, p=weights))
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return tuple(n for n, _ in table), cdf
+
+
+def _weighted_choice(rng: np.random.Generator, table: tuple[tuple[str, float], ...]) -> str:
+    """``rng.choice(names, p=weights)`` without its per-call set-up.
+
+    ``Generator.choice`` normalizes ``p``, takes ``cdf = p.cumsum();
+    cdf /= cdf[-1]`` and draws ``cdf.searchsorted(rng.random(),
+    side="right")``; doing exactly that against a cached CDF consumes
+    the same one double from the stream and picks the same name.
+    """
+    names, cdf = _cdf(table)
+    return names[int(cdf.searchsorted(rng.random(), side="right"))]
+
+
+def _uniform_choice(rng: np.random.Generator, seq: Sequence[T]) -> T:
+    """``rng.choice(seq)`` for a uniform pick: one bounded integer draw."""
+    return seq[int(rng.integers(0, len(seq)))]
 
 
 def generate_true_system(rank: int, rng: np.random.Generator,
@@ -193,7 +217,7 @@ def generate_true_system(rank: int, rng: np.random.Generator,
         # 4.6k H100 ≈ 26 TF), scaled by TDP as a generation proxy.
         per_gpu_tflops = 32.0 * (gpu.tdp_w / 600.0) * float(rng.uniform(0.8, 1.2))
         n_gpus = max(int(rmax / per_gpu_tflops), 4)
-        gpus_per_node = int(rng.choice([4, 4, 4, 8]))
+        gpus_per_node = _uniform_choice(rng, (4, 4, 4, 8))
         n_nodes = max(n_gpus // gpus_per_node, 1)
         n_gpus = n_nodes * gpus_per_node
         sockets = 1 if gpu_key == "gh200" else 2
@@ -221,7 +245,7 @@ def generate_true_system(rank: int, rng: np.random.Generator,
     power_w = (n_cpus * cpu.tdp_w + n_gpus * gpu_tdp) * float(rng.uniform(0.95, 1.2))
     power_kw = max(power_w / 1e3, 40.0)
 
-    memory_gb = n_nodes * float(rng.choice([256.0, 384.0, 512.0, 768.0, 1024.0]))
+    memory_gb = n_nodes * _uniform_choice(rng, (256.0, 384.0, 512.0, 768.0, 1024.0))
     mem_type = MemoryType.DDR5 if cpu.year >= 2022 else MemoryType.DDR4
     # Parallel-filesystem share grows superlinearly at the top of the
     # list (Frontier's ~700 PB Orion).  The 5 TB/node base exceeds the
@@ -242,9 +266,9 @@ def generate_true_system(rank: int, rng: np.random.Generator,
         region=_region_for(country, rng),
         year=year_bias,
         segment=_weighted_choice(rng, SEGMENT_WEIGHTS),
-        vendor=str(rng.choice(VENDORS)),
+        vendor=_uniform_choice(rng, VENDORS),
         processor=cpu_key,
-        processor_speed_mhz=float(rng.choice([2000.0, 2250.0, 2450.0, 2600.0, 3100.0])),
+        processor_speed_mhz=_uniform_choice(rng, (2000.0, 2250.0, 2450.0, 2600.0, 3100.0)),
         accelerator=gpu_key,
         n_nodes=n_nodes,
         n_cpus=n_cpus,
@@ -261,9 +285,9 @@ def generate_true_system(rank: int, rng: np.random.Generator,
         ssd_gb=ssd_gb,
         utilization=float(rng.uniform(0.6, 0.95)),
         annual_energy_kwh=power_kw * 8760.0 * float(rng.uniform(0.75, 0.95)),
-        interconnect=str(rng.choice(INTERCONNECTS)),
+        interconnect=_uniform_choice(rng, INTERCONNECTS),
         os="Linux",
-        cooling=str(rng.choice(["liquid", "air", "liquid"])),
+        cooling=_uniform_choice(rng, ("liquid", "air", "liquid")),
     )
 
 
@@ -276,31 +300,34 @@ _NAME_STEMS = (
 
 
 def _system_name(rank: int, rng: np.random.Generator) -> str:
-    stem = str(rng.choice(_NAME_STEMS))
+    stem = _uniform_choice(rng, _NAME_STEMS)
     suffix = int(rng.integers(1, 99))
     return f"{stem}-{suffix} (R{rank})"
 
 
+#: Sub-national grid regions a system in each country may sit in.
+_REGIONS: dict[str, tuple[str, ...]] = {
+    "United States": ("us-tva", "us-california", "us-illinois",
+                      "us-new-mexico", "us-texas", "us-washington",
+                      "us-virginia", "us-iowa"),
+    "Finland": ("fi-hydro-contract",),
+    "Germany": ("de-bavaria",),
+    "Switzerland": ("ch-cscs",),
+    "Italy": ("it-cineca",),
+    "Spain": ("es-bsc",),
+    "France": ("fr-nuclear",),
+    "United Kingdom": ("uk-edinburgh",),
+    "Japan": ("jp-kobe", "jp-tokyo"),
+    "China": ("cn-wuxi", "cn-guangzhou"),
+    "South Korea": ("kr-sejong",),
+    "Australia": ("au-pawsey",),
+    "Saudi Arabia": ("sa-kaust",),
+}
+
+
 def _region_for(country: str, rng: np.random.Generator) -> str | None:
     """Assign a sub-national grid region to a minority of systems."""
-    regions = {
-        "United States": ["us-tva", "us-california", "us-illinois",
-                          "us-new-mexico", "us-texas", "us-washington",
-                          "us-virginia", "us-iowa"],
-        "Finland": ["fi-hydro-contract"],
-        "Germany": ["de-bavaria"],
-        "Switzerland": ["ch-cscs"],
-        "Italy": ["it-cineca"],
-        "Spain": ["es-bsc"],
-        "France": ["fr-nuclear"],
-        "United Kingdom": ["uk-edinburgh"],
-        "Japan": ["jp-kobe", "jp-tokyo"],
-        "China": ["cn-wuxi", "cn-guangzhou"],
-        "South Korea": ["kr-sejong"],
-        "Australia": ["au-pawsey"],
-        "Saudi Arabia": ["sa-kaust"],
-    }
-    pool = regions.get(country)
+    pool = _REGIONS.get(country)
     if pool is None or rng.uniform() > 0.55:
         return None
-    return str(rng.choice(pool))
+    return _uniform_choice(rng, pool)

@@ -27,45 +27,21 @@ assesses synthetic portfolios of 10⁴–10⁶ systems.  Five layers:
   testable end-to-end, in-process and in CI.
 """
 
-from repro.parallel.chunking import chunk_indices, chunked
-from repro.parallel.executor import parallel_map, ExecutionStats
-from repro.parallel.faults import FaultPlan, FaultRule, InjectedFault
-from repro.parallel.pool import (
-    WorkerCrashError,
-    get_pool,
-    kill_pool,
-    pool_available,
-    pool_map,
-    processes_disabled,
-    reset_pool,
-    shutdown_pool,
-)
-from repro.parallel.resilience import (
-    DegradedFanOutWarning,
-    RetryPolicy,
-    latched_rungs,
-    reset_ladder_state,
-    run_ladder,
-    supervised_map,
-)
-from repro.parallel.shm import (
-    SharedArrayPack,
-    SharedFleetFrame,
-    live_owned_segments,
-    release_shared_frames,
-    shared_fleet_frame,
-    shm_available,
-    sweep_orphaned_segments,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "chunk_indices", "chunked", "parallel_map", "ExecutionStats",
-    "FaultPlan", "FaultRule", "InjectedFault",
-    "WorkerCrashError", "get_pool", "kill_pool", "pool_available",
-    "pool_map", "processes_disabled", "reset_pool", "shutdown_pool",
-    "DegradedFanOutWarning", "RetryPolicy", "latched_rungs",
-    "reset_ladder_state", "run_ladder", "supervised_map",
-    "SharedArrayPack", "SharedFleetFrame", "live_owned_segments",
-    "release_shared_frames", "shared_fleet_frame", "shm_available",
-    "sweep_orphaned_segments",
-]
+# Lazy (PEP 562): ``repro.core.vectorized`` imports
+# ``repro.parallel.tuning`` at import time, and that must not pull in
+# the executor, the pool, ``concurrent.futures`` and shared memory.
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "chunking": ("chunk_indices", "chunked"),
+    "executor": ("parallel_map", "ExecutionStats"),
+    "faults": ("FaultPlan", "FaultRule", "InjectedFault"),
+    "pool": ("WorkerCrashError", "get_pool", "kill_pool", "pool_available",
+             "pool_map", "processes_disabled", "reset_pool",
+             "shutdown_pool"),
+    "resilience": ("DegradedFanOutWarning", "RetryPolicy", "latched_rungs",
+                   "reset_ladder_state", "run_ladder", "supervised_map"),
+    "shm": ("SharedArrayPack", "SharedFleetFrame", "live_owned_segments",
+            "release_shared_frames", "shared_fleet_frame", "shm_available",
+            "sweep_orphaned_segments"),
+})

@@ -46,6 +46,7 @@ R = TypeVar("R")
 __all__ = [
     "WorkerCrashError",
     "pool_available",
+    "pool_status",
     "processes_disabled",
     "get_pool",
     "pool_map",
@@ -96,6 +97,26 @@ def pool_available(max_workers: int | None = None) -> bool:
     serial path.  Cheap after the first probe.
     """
     return get_pool(max_workers) is not None
+
+
+def pool_status(max_workers: int | None = None) -> dict[str, bool]:
+    """What :func:`get_pool` would do, without spawning anything.
+
+    ``live`` — this process holds a built pool; ``would_spawn`` — the
+    next ``get_pool(max_workers)`` would build one; ``available`` — it
+    would hand back a pool, live or new.  Health probes report this
+    instead of calling :func:`pool_available`, which builds the pool it
+    asks about.
+    """
+    live = _POOL is not None and _POOL_PID == os.getpid()
+    workers = _effective_workers(max_workers)
+    available = (not processes_disabled() and workers >= 2
+                 and not _SPAWN_FAILED)
+    return {
+        "available": available,
+        "would_spawn": available and not (live and _POOL_WORKERS >= workers),
+        "live": live,
+    }
 
 
 def processes_disabled() -> bool:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import mmap
 import os
 import pathlib
 import tempfile
@@ -92,15 +93,31 @@ _CREATED_AT: dict[str, float] = {}
 
 
 def shm_available() -> bool:
-    """Whether POSIX shared memory works here (probed once, cached)."""
+    """Whether POSIX shared memory works here (probed once, cached).
+
+    The probe creates, maps and unlinks one segment through
+    ``_posixshmem`` (the layer under ``SharedMemory``) because
+    ``SharedMemory`` registers every segment with the
+    ``resource_tracker`` and so starts the tracker process: asking
+    whether shared memory works (``repro doctor``, ``/readyz``) must
+    not spawn anything.  Workers only ever attach untracked, so the
+    tracker is needed — and started — by the first owned segment.
+    """
     global _PROBED
     if env_flag(DISABLE_ENV):
         return False
     if _PROBED is None:
         try:
-            probe = shared_memory.SharedMemory(create=True, size=8)
-            probe.close()
-            probe.unlink()
+            import _posixshmem
+            name = f"/repro-probe-{os.getpid()}-{os.urandom(4).hex()}"
+            fd = _posixshmem.shm_open(name, os.O_CREAT | os.O_EXCL | os.O_RDWR,
+                                      mode=0o600)
+            try:
+                os.ftruncate(fd, 8)
+                mmap.mmap(fd, 8).close()
+            finally:
+                os.close(fd)
+                _posixshmem.shm_unlink(name)
             _PROBED = True
         except Exception:
             _PROBED = False

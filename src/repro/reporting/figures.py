@@ -19,8 +19,6 @@ from repro.core.uncertainty import DEFAULT_MC_SAMPLES
 from repro.coverage.analyzer import missing_items_histogram
 from repro.coverage.rank_ranges import coverage_by_rank_range
 from repro.data.paper_table import load_paper_table
-from repro.ghg.protocol import GhgProtocolCalculator
-from repro.projection.growth import CarbonProjection
 from repro.reporting.charts import bar_chart, series_summary
 from repro.reporting.tables import render_table
 from repro.study import StudyResult
@@ -74,6 +72,7 @@ def table1(study: StudyResult) -> str:
 
 def figure4(study: StudyResult) -> str:
     """Coverage: GHG protocol vs EasyC vs EasyC+public, both footprints."""
+    from repro.ghg.protocol import GhgProtocolCalculator
     ghg = GhgProtocolCalculator()
     ghg_op = sum(ghg.can_report_scope2(r) for r in study.public_records)
     ghg_emb = sum(ghg.can_report_scope3(r) for r in study.public_records)
@@ -350,6 +349,7 @@ def _reference_projection_cube():
     ``tests/projection``) and any change to the engine's paper-defaults
     scenario shows up in the rendered tables immediately.
     """
+    from repro.projection.growth import CarbonProjection
     op_total = reference_series("operational", "interpolated").total_mt()
     emb_total = reference_series("embodied", "interpolated").total_mt()
     return CarbonProjection.paper_defaults(op_total, emb_total).cube()

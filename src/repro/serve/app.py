@@ -26,9 +26,12 @@ Endpoints::
     POST /v1/bands   sweep + per-scenario Monte-Carlo band statistics
 
 Every refusal is a structured error (``{"error": {"code", "message",
-"retry_after_s"}}``) with the matching HTTP status: 400 bad request,
-429 queue-full (with ``Retry-After``), 503 breaker-open/draining, 504
-deadline-exceeded, 500 otherwise.  Response bodies are byte-for-byte
+"retry_after_s"}}``) with the matching HTTP status: 400 bad request
+(including a negative or conflicting ``Content-Length``), 413 body too
+large, 414 / 431 request or header line past the stream limit, 429
+queue-full (with ``Retry-After``), 503 breaker-open/draining, 504
+deadline-exceeded, 500 otherwise.  Framing errors close the
+connection after the response.  Response bodies are byte-for-byte
 cacheable; cache status travels in the ``X-Repro-Cache`` header
 (``hit`` from the in-process L1, ``hit-l2`` from the shared disk
 tier, ``miss``) so a cached body stays identical to the computed one.
@@ -130,8 +133,10 @@ class ServeConfig:
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
                 405: "Method Not Allowed", 413: "Payload Too Large",
-                429: "Too Many Requests", 500: "Internal Server Error",
-                503: "Service Unavailable", 504: "Gateway Timeout"}
+                414: "URI Too Long", 429: "Too Many Requests",
+                431: "Request Header Fields Too Large",
+                500: "Internal Server Error", 503: "Service Unavailable",
+                504: "Gateway Timeout"}
 
 #: ServeError code → HTTP status.
 _ERROR_STATUS = {"deadline-exceeded": 504, "queue-full": 429,
@@ -292,6 +297,14 @@ class AssessmentServer:
                         timeout=self.config.keepalive_idle_s)
                 except asyncio.TimeoutError:
                     break
+                except ValueError:
+                    # Request line past the stream limit (see the
+                    # header-line case in _handle_request).
+                    await self._send_response(
+                        writer, 414, {}, _error_body(
+                            "bad-request", "request line too long"),
+                        close=True)
+                    break
                 if not request_line.strip():
                     break          # EOF or a client closing politely
                 if served:
@@ -338,19 +351,29 @@ class AssessmentServer:
             method, path = parts[0], parts[1]
             version = parts[2] if len(parts) > 2 else "HTTP/1.1"
             close_conn = version.upper() == "HTTP/1.0"
-            content_length = 0
+            content_length: int | None = None
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # A line past the stream limit: the reader has
+                    # dropped bytes, so the framing is lost for good.
+                    return 431, {}, _error_body(
+                        "bad-request", "request header line too long"), \
+                        False, True
                 if line in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 name = name.strip().lower()
                 if name == "content-length":
                     try:
-                        content_length = int(value.strip())
+                        length = int(value.strip())
                     except ValueError:
+                        length = -1
+                    if length < 0 or content_length not in (None, length):
                         return 400, {}, _error_body(
                             "bad-request", "bad Content-Length"), False, True
+                    content_length = length
                 elif name == "connection":
                     token = value.strip().lower()
                     if token == "close":
@@ -359,6 +382,7 @@ class AssessmentServer:
                         close_conn = False
                 elif name == "accept":
                     accept = value.strip().lower()
+            content_length = content_length or 0
             if content_length > _MAX_BODY_BYTES:
                 return 413, {}, _error_body(
                     "bad-request", "request body too large"), False, True

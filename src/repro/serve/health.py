@@ -13,7 +13,9 @@ keys::
 
     schema_version  int   — bumped only on breaking changes (currently 1)
     version         str   — the repro package version
-    pool            {available, disabled}
+    pool            {available, disabled} — ``available`` is predicted
+                    by :func:`repro.parallel.pool.pool_status`; no
+                    probe ever builds a pool
     shm             {available, registry_dir, live_segments}
     ladder          {latched: [rung...], failures: {rung: count}}
     faults          {active_rules}
@@ -74,7 +76,8 @@ def doctor_report(*, registry_dir: "str | None" = None,
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
         "pool": {
-            "available": bool(pool_mod.pool_available(None)),
+            # A probe, never a spawn: asking must not build the pool.
+            "available": bool(pool_mod.pool_status(None)["available"]),
             "disabled": bool(pool_mod.processes_disabled()),
         },
         "shm": {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.analysis.aggregate import Fig7Row, fig7_rows
 from repro.analysis.sensitivity import SensitivityResult, compare_scenarios
@@ -28,9 +29,13 @@ from repro.data.top500 import Top500Dataset, default_dataset
 from repro.enrich.pipeline import EnrichmentPipeline, EnrichmentReport
 from repro.enrich.public_info import PublicInfoOracle
 from repro.interpolate.peers import InterpolatedValue
-from repro.projection.growth import CarbonProjection
-from repro.projection.perf_carbon import PerfCarbonProjection, perf_carbon_projection
-from repro.projection.turnover import TurnoverModel
+
+if TYPE_CHECKING:
+    # The projection stack loads on first use: the scenario and shift
+    # commands run a study but never project it.
+    from repro.projection.growth import CarbonProjection
+    from repro.projection.perf_carbon import PerfCarbonProjection
+    from repro.projection.turnover import TurnoverModel
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,7 @@ class StudyResult:
 
     @cached_property
     def turnover(self) -> TurnoverModel:
+        from repro.projection.turnover import TurnoverModel
         op_series, _ = self.op_full
         emb_series, _ = self.emb_full
         op_obs, emb_obs = TurnoverModel.observe(
@@ -104,6 +110,7 @@ class StudyResult:
 
     @cached_property
     def projection(self) -> CarbonProjection:
+        from repro.projection.growth import CarbonProjection
         op_series, _ = self.op_full
         emb_series, _ = self.emb_full
         return CarbonProjection.paper_defaults(
@@ -185,6 +192,7 @@ class StudyResult:
             parallel=parallel, max_workers=max_workers)
 
     def perf_carbon(self, footprint: str) -> PerfCarbonProjection:
+        from repro.projection.perf_carbon import perf_carbon_projection
         series = self.op_full[0] if footprint == "operational" else self.emb_full[0]
         return perf_carbon_projection(self.total_rmax_tflops,
                                       series.total_mt(), footprint)

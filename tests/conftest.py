@@ -1,11 +1,24 @@
-"""Shared fixtures.
+"""Shared fixtures and the tier-1 watchdog.
 
 The synthetic dataset and the full study are session-scoped: they are
 deterministic for the default seed, and re-running them per test would
 dominate suite runtime.
+
+The watchdog makes the suite terminate on any host.  A session-wide
+``faulthandler`` timer dumps every thread's stack and exits if the run
+as a whole wedges; when ``pytest-timeout`` is not installed (its
+``@pytest.mark.timeout`` would otherwise be an unknown, inert mark), a
+SIGALRM wall limit per test phase fails the test that hangs instead.
 """
 
 from __future__ import annotations
+
+import contextlib
+import faulthandler
+import os
+import signal
+import sys
+import threading
 
 import pytest
 
@@ -13,6 +26,80 @@ from repro.core import EasyC, SystemRecord
 from repro.data.top500 import Top500Dataset, generate_top500
 from repro.hardware.memory import MemoryType
 from repro.study import StudyResult, Top500CarbonStudy
+
+
+#: Whole-session limit: far above a healthy tier-1 run (about a minute).
+SESSION_LIMIT_S = 1800
+#: Per-test-phase limit when neither pytest-timeout nor a
+#: ``timeout`` mark sets one (the CI runs use ``--timeout=300``).
+DEFAULT_TEST_LIMIT_S = 300
+
+
+#: A private copy of the real stderr: during a test, fd 2 is pytest's
+#: capture file, which an exiting dump would never reach the console from.
+_WATCHDOG_FD: list[int] = []
+
+
+def pytest_configure(config):
+    _WATCHDOG_FD.append(os.dup(sys.__stderr__.fileno()))
+    faulthandler.dump_traceback_later(SESSION_LIMIT_S, exit=True,
+                                      file=_WATCHDOG_FD[-1])
+    if not config.pluginmanager.hasplugin("timeout"):
+        config.addinivalue_line(
+            "markers", "timeout(seconds): per-test wall limit "
+            "(SIGALRM fallback when pytest-timeout is absent)")
+
+
+def pytest_unconfigure(config):
+    faulthandler.cancel_dump_traceback_later()
+    while _WATCHDOG_FD:
+        os.close(_WATCHDOG_FD.pop())
+
+
+class WallLimitExceeded(Exception):
+    """Raised into a test phase that ran past its wall limit."""
+
+
+@contextlib.contextmanager
+def _wall_limit(item):
+    """Fail the running phase of ``item`` after its wall limit."""
+    if (item.config.pluginmanager.hasplugin("timeout")
+            or not hasattr(signal, "SIGALRM")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+    mark = item.get_closest_marker("timeout")
+    limit = float(mark.args[0]) if mark and mark.args else DEFAULT_TEST_LIMIT_S
+
+    def expire(signum, frame):
+        raise WallLimitExceeded(
+            f"{item.nodeid} exceeded its {limit:g} s wall limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _wall_limit(item):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _wall_limit(item):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    with _wall_limit(item):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -119,6 +119,25 @@ class TestSpawnLatchRecovery:
             pytest.skip("cannot spawn worker processes")
         assert pool_mod.pool_map(_echo, [1, 2], max_workers=WORKERS) == [1, 2]
 
+    def test_status_probe_never_spawns(self, monkeypatch):
+        pool_mod.shutdown_pool()
+        monkeypatch.setattr(
+            pool_mod, "ProcessPoolExecutor",
+            lambda *a, **k: pytest.fail("a status probe must not spawn"))
+        status = pool_mod.pool_status(WORKERS)
+        assert status["live"] is False
+        assert status["would_spawn"] is status["available"]
+        monkeypatch.setattr(pool_mod, "_SPAWN_FAILED", True)
+        assert pool_mod.pool_status(WORKERS) == {
+            "available": False, "would_spawn": False, "live": False}
+
+    def test_status_reports_a_live_pool(self):
+        _require_pool()
+        assert pool_mod.pool_status(WORKERS) == {
+            "available": True, "would_spawn": False, "live": True}
+        # Asking for more workers than the live pool has would rebuild.
+        assert pool_mod.pool_status(WORKERS + 1)["would_spawn"] is True
+
     def test_reset_pool_tears_down_live_pool(self):
         _require_pool()
         assert pool_mod._POOL is not None

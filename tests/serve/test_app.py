@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -131,6 +132,68 @@ class TestEndpoints:
             assert status == 400 and b"invalid JSON" in body
 
         run_server(scenario)
+
+
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send raw bytes; read until the server closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status_and_body(response: bytes) -> tuple[int, bytes]:
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+class TestFraming:
+    """Broken HTTP framing gets one structured error, then a close.
+
+    The oversized lines stay just past the 64 KiB stream limit, so the
+    server has read every byte before it closes (unread bytes would
+    turn the close into a reset that can swallow the response).
+    """
+
+    def _exchange(self, data: bytes) -> tuple[int, bytes]:
+        result = {}
+
+        async def scenario(server, get, post):
+            loop = asyncio.get_running_loop()
+            result["response"] = await loop.run_in_executor(
+                None, _raw_exchange, server.port, data)
+            # The daemon is still healthy afterwards.
+            status, _, _ = await get("/healthz")
+            assert status == 200
+
+        run_server(scenario)
+        return _status_and_body(result["response"])
+
+    def test_negative_content_length_is_a_400(self):
+        status, body = self._exchange(
+            b"POST /v1/assess HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: -5\r\n\r\n{}")
+        assert status == 400 and _error_code(body) == "bad-request"
+        assert b"Content-Length" in body
+
+    def test_conflicting_duplicate_content_length_is_a_400(self):
+        status, body = self._exchange(
+            b"POST /v1/assess HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 2\r\nContent-Length: 7\r\n\r\n{}")
+        assert status == 400 and b"Content-Length" in body
+
+    def test_oversized_header_line_is_a_431(self):
+        status, body = self._exchange(
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 << 10)
+            + b"\r\n\r\n")
+        assert status == 431 and _error_code(body) == "bad-request"
+
+    def test_oversized_request_line_is_a_414(self):
+        status, body = self._exchange(
+            b"GET /" + b"a" * (70 << 10) + b" HTTP/1.1\r\n\r\n")
+        assert status == 414 and _error_code(body) == "bad-request"
 
 
 class TestCacheBehavior:

@@ -9,6 +9,9 @@ top-level keys only ever grow.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,24 @@ _V1_KEYS = {"schema_version", "version", "pool", "shm", "ladder",
 #: The cache_tier section's own frozen keys (same grow-only rule).
 _CACHE_TIER_KEYS = {"l2_dir", "l2_entries", "l2_bytes", "l2_max_bytes",
                     "l2_poisoned", "l2_evictions"}
+
+
+#: Runs in a fresh interpreter, so no earlier test has already started
+#: a pool or multiprocessing's resource tracker; prints the number of
+#: live children the two doctor calls left behind.
+_PROBE_CHILDREN = """
+import glob, multiprocessing, os, sys
+from repro.parallel import pool
+from repro.serve.health import doctor_report
+doctor_report()
+doctor_report(registry_dir=sys.argv[1], sweep=True)
+assert not pool.pool_status()["live"]
+pids = {p.pid for p in multiprocessing.active_children()}
+for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+    with open(path) as fh:
+        pids.update(fh.read().split())
+print(len(pids))
+"""
 
 
 class TestDoctorReport:
@@ -84,6 +105,27 @@ class TestDoctorReport:
         obs.inc("serve.test_health_probe")
         report = doctor_report()
         assert report["counters"]["serve.test_health_probe"] >= 1
+
+    def test_report_spawns_no_pool_and_no_process(self, tmp_path):
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("REPRO_DISABLE_PROCESS_POOL", None)
+        out = subprocess.run(
+            [sys.executable, "-c", _PROBE_CHILDREN, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
+
+    def test_pool_probe_follows_the_disable_flag(self, monkeypatch):
+        from repro.parallel import pool as pool_mod
+        monkeypatch.setenv(pool_mod.DISABLE_ENV, "1")
+        status = pool_mod.pool_status(4)
+        assert status["available"] is False
+        assert status["would_spawn"] is False
+        assert doctor_report()["pool"] == {"available": False,
+                                           "disabled": True}
 
     def test_active_fault_rules_counted(self, monkeypatch):
         from repro.parallel import faults
