@@ -20,6 +20,11 @@ callers rely on:
 * **Fork-safety of teardown.**  The atexit teardown and all pool state
   are PID-guarded, so a forked worker inheriting this module never
   shuts down (or double-frees) its parent's pool.
+* **Workers die with their creator.**  Each worker restores default
+  SIGTERM/SIGINT handling (a forked worker would otherwise inherit a
+  daemon's handlers and ignore SIGTERM) and, on Linux, asks the kernel
+  for SIGTERM when its parent dies, so a SIGKILLed parent leaves no
+  orphans holding its pipes open.
 
 The pool prefers the ``fork`` start method where available: workers
 share the parent's resource-tracker process, which keeps
@@ -32,6 +37,8 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import signal
+import sys
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -80,6 +87,33 @@ class WorkerCrashError(RuntimeError):
 def _noop() -> None:
     """Probe body (module-level for pickling)."""
     return None
+
+
+#: ``prctl`` option: deliver a signal when the parent dies (linux/prctl.h).
+_PR_SET_PDEATHSIG = 1
+
+
+def _worker_init(creator_pid: int) -> None:
+    """Pool-worker initializer: default signals, die with the creator.
+
+    ``PR_SET_PDEATHSIG`` fires when the *thread* that forked this
+    worker exits, not when its process does: a pool built from a
+    short-lived thread loses its workers with that thread (the
+    supervised dispatcher then rebuilds it).  The ``getppid`` check
+    closes the race of a creator that died before the ``prctl`` call.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    if sys.platform.startswith("linux"):
+        try:
+            import ctypes
+
+            libc = ctypes.CDLL(None, use_errno=True)
+            libc.prctl(_PR_SET_PDEATHSIG, int(signal.SIGTERM), 0, 0, 0)
+        except (OSError, AttributeError):
+            pass
+    if os.getppid() != creator_pid:
+        os._exit(0)
 
 
 def _effective_workers(max_workers: int | None) -> int:
@@ -156,7 +190,9 @@ def get_pool(max_workers: int | None = None) -> ProcessPoolExecutor | None:
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork") if "fork" in methods else None
     try:
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                   initializer=_worker_init,
+                                   initargs=(os.getpid(),))
     except Exception:
         _SPAWN_FAILED = True
         return None

@@ -27,14 +27,16 @@ Endpoints::
 
 Every refusal is a structured error (``{"error": {"code", "message",
 "retry_after_s"}}``) with the matching HTTP status: 400 bad request
-(including a negative or conflicting ``Content-Length``), 413 body too
-large, 414 / 431 request or header line past the stream limit, 429
-queue-full (with ``Retry-After``), 503 breaker-open/draining, 504
-deadline-exceeded, 500 otherwise.  Framing errors close the
-connection after the response.  Response bodies are byte-for-byte
-cacheable; cache status travels in the ``X-Repro-Cache`` header
-(``hit`` from the in-process L1, ``hit-l2`` from the shared disk
-tier, ``miss``) so a cached body stays identical to the computed one.
+(including a negative or conflicting ``Content-Length``), 408 header
+block still incomplete ``keepalive_idle_s`` after the request line,
+413 body too large, 414 / 431 request or header line past the stream
+limit, 429 queue-full (with ``Retry-After``), 503
+breaker-open/draining, 504 deadline-exceeded, 500 otherwise.  Framing
+errors close the connection after the response.  Response bodies are
+byte-for-byte cacheable; cache status travels in the
+``X-Repro-Cache`` header (``hit`` from the in-process L1, ``hit-l2``
+from the shared disk tier, ``miss``) so a cached body stays identical
+to the computed one.
 
 The result cache is two-level when ``--cache-dir`` is configured
 (:mod:`repro.serve.cachetier`): the in-process LRU stays L1, and a
@@ -132,7 +134,8 @@ class ServeConfig:
 
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                405: "Method Not Allowed", 413: "Payload Too Large",
+                405: "Method Not Allowed", 408: "Request Timeout",
+                413: "Payload Too Large",
                 414: "URI Too Long", 429: "Too Many Requests",
                 431: "Request Header Fields Too Large",
                 500: "Internal Server Error", 503: "Service Unavailable",
@@ -292,10 +295,10 @@ class AssessmentServer:
         try:
             while True:
                 try:
-                    request_line = await asyncio.wait_for(
-                        reader.readline(),
-                        timeout=self.config.keepalive_idle_s)
-                except asyncio.TimeoutError:
+                    # A timeout scope, not wait_for: no task per request.
+                    async with asyncio.timeout(self.config.keepalive_idle_s):
+                        request_line = await reader.readline()
+                except TimeoutError:
                     break
                 except ValueError:
                     # Request line past the stream limit (see the
@@ -339,7 +342,9 @@ class AssessmentServer:
         ``close`` is True when the client asked for it (``Connection:
         close``, or an HTTP/1.0 request without ``keep-alive``) or the
         framing went wrong — after a parse error the byte stream can no
-        longer be trusted to start a next request.
+        longer be trusted to start a next request.  The whole header
+        block shares one ``keepalive_idle_s`` deadline, so a client
+        dripping header lines cannot hold the connection open.
         """
         close_conn = False
         accept = ""
@@ -352,42 +357,49 @@ class AssessmentServer:
             version = parts[2] if len(parts) > 2 else "HTTP/1.1"
             close_conn = version.upper() == "HTTP/1.0"
             content_length: int | None = None
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # A line past the stream limit: the reader has
-                    # dropped bytes, so the framing is lost for good.
-                    return 431, {}, _error_body(
-                        "bad-request", "request header line too long"), \
-                        False, True
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                name = name.strip().lower()
-                if name == "content-length":
+            async with asyncio.timeout(self.config.keepalive_idle_s):
+                while True:
                     try:
-                        length = int(value.strip())
+                        line = await reader.readline()
                     except ValueError:
-                        length = -1
-                    if length < 0 or content_length not in (None, length):
-                        return 400, {}, _error_body(
-                            "bad-request", "bad Content-Length"), False, True
-                    content_length = length
-                elif name == "connection":
-                    token = value.strip().lower()
-                    if token == "close":
-                        close_conn = True
-                    elif token == "keep-alive":
-                        close_conn = False
-                elif name == "accept":
-                    accept = value.strip().lower()
+                        # A line past the stream limit: the reader has
+                        # dropped bytes, so the framing is lost for good.
+                        return 431, {}, _error_body(
+                            "bad-request",
+                            "request header line too long"), False, True
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+                    name, _, value = line.decode("latin-1").partition(":")
+                    name = name.strip().lower()
+                    if name == "content-length":
+                        try:
+                            length = int(value.strip())
+                        except ValueError:
+                            length = -1
+                        if length < 0 \
+                                or content_length not in (None, length):
+                            return 400, {}, _error_body(
+                                "bad-request", "bad Content-Length"), \
+                                False, True
+                        content_length = length
+                    elif name == "connection":
+                        token = value.strip().lower()
+                        if token == "close":
+                            close_conn = True
+                        elif token == "keep-alive":
+                            close_conn = False
+                    elif name == "accept":
+                        accept = value.strip().lower()
             content_length = content_length or 0
             if content_length > _MAX_BODY_BYTES:
                 return 413, {}, _error_body(
                     "bad-request", "request body too large"), False, True
             raw = (await reader.readexactly(content_length)
                    if content_length else b"")
+        except TimeoutError:
+            return 408, {}, _error_body(
+                "bad-request", "request headers not received in time"), \
+                False, True
         except (asyncio.IncompleteReadError, UnicodeDecodeError):
             return 400, {}, _error_body("bad-request",
                                         "truncated request"), False, True

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.parallel import pool as pool_mod
 
 WORKERS = 2
@@ -159,3 +164,64 @@ class TestSpawnLatchRecovery:
             lambda *a, **k: pytest.fail("latched probe must not re-run"))
         assert pool_mod.get_pool(WORKERS) is None
         pool_mod.reset_pool()
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an unreaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+#: Builds the pool, reports its worker pids, then waits to be killed.
+_POOL_OWNER = """
+import time
+from repro.parallel import pool as pool_mod
+pool = pool_mod.get_pool(2)
+print(" ".join(map(str, pool._processes)) if pool else "none", flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="parent-death signal is Linux-only")
+class TestWorkerLifecycle:
+    def test_workers_die_with_a_killed_creator(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        owner = subprocess.Popen([sys.executable, "-c", _POOL_OWNER],
+                                 env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            line = owner.stdout.readline().strip()
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+        if line in ("", "none"):
+            pytest.skip("cannot spawn worker processes")
+        pids = [int(pid) for pid in line.split()]
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"orphaned pool workers {survivors}"
+
+    def test_workers_restore_default_signal_handlers(self):
+        """A daemon's SIGTERM handler must not survive into a worker."""
+        pool_mod.shutdown_pool()
+        previous = signal.signal(signal.SIGTERM, lambda *args: None)
+        try:
+            _require_pool()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert pool_mod.pool_map(_default_term_handler, [0, 1],
+                                 max_workers=WORKERS) == [True, True]
+
+
+def _default_term_handler(_task) -> bool:
+    return signal.getsignal(signal.SIGTERM) is signal.SIG_DFL

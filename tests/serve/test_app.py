@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import select
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -144,6 +146,26 @@ def _raw_exchange(port: int, data: bytes) -> bytes:
     return b"".join(chunks)
 
 
+def _drip_exchange(port: int, head: bytes, lines: list[bytes],
+                   interval_s: float) -> tuple[bytes, float, int]:
+    """Send ``head``, then one line per ``interval_s`` until the server
+    answers; returns ``(response, seconds to answer, lines sent)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        start = time.monotonic()
+        sock.sendall(head)
+        sent = 0
+        while sent < len(lines) and not select.select(
+                [sock], [], [], interval_s)[0]:
+            sock.sendall(lines[sent])
+            sent += 1
+        select.select([sock], [], [], 30)
+        elapsed = time.monotonic() - start
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks), elapsed, sent
+
+
 def _status_and_body(response: bytes) -> tuple[int, bytes]:
     head, _, body = response.partition(b"\r\n\r\n")
     return int(head.split()[1]), body
@@ -189,6 +211,27 @@ class TestFraming:
             b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 << 10)
             + b"\r\n\r\n")
         assert status == 431 and _error_code(body) == "bad-request"
+
+    def test_drip_fed_headers_time_out_with_a_408(self):
+        """One header line every 0.2 s never completes the block: the
+        whole block gets ``keepalive_idle_s``, not each line."""
+        lines = [b"X-Drip-%d: y\r\n" % i for i in range(15)]
+        result = {}
+
+        async def scenario(server, get, post):
+            loop = asyncio.get_running_loop()
+            result["exchange"] = await loop.run_in_executor(
+                None, _drip_exchange, server.port,
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n", lines, 0.2)
+            status, _, _ = await get("/healthz")
+            assert status == 200
+
+        run_server(scenario, ServeConfig(port=0, keepalive_idle_s=0.5))
+        response, elapsed, sent = result["exchange"]
+        status, body = _status_and_body(response)
+        assert status == 408 and _error_code(body) == "bad-request"
+        assert b"Connection: close" in response
+        assert elapsed < 1.5 and sent < len(lines) // 2
 
     def test_oversized_request_line_is_a_414(self):
         status, body = self._exchange(

@@ -17,6 +17,8 @@ Three layers of guarantees, in decreasing strictness:
   approximation on large fleets.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from repro.core.uncertainty import (
 )
 from repro.parallel import pool as pool_mod
 from repro.parallel import shm as shm_mod
+from repro.uncertainty import mc
 from repro.uncertainty.mc import (
     BandStack,
     band_scalar_reference,
@@ -265,6 +268,130 @@ class TestFanOut:
         auto = mc_band_stack(values, unc, n_samples=100, method="auto")
         serial = mc_band_stack(values, unc, n_samples=100, method="serial")
         assert all(auto.band(c) == serial.band(c) for c in range(4))
+
+
+# ---------------------------------------------------------------------------
+# The slab loop: byte-sized slabs, one reused scratch buffer
+# ---------------------------------------------------------------------------
+
+def _worker_slab_bytes(_task):
+    """What a pool worker sees as the slab size (module-level: picklable)."""
+    return mc._SLAB_BYTES
+
+
+#: Slab sizes (bytes) that force the loop's edge cases on
+#: :func:`slab_stack` (covered counts 20..40, ``SLAB_SAMPLES`` draws).
+SLAB_CASES = {
+    "many-ragged-slabs": 8 * 40 * 3,     # 3-6 rows, 97 % rows != 0
+    "one-row-per-slab": 8,               # k > one slab: rows == 1
+    "one-slab-per-cell": 1 << 30,        # rows == n_samples
+}
+SLAB_SAMPLES = 97
+
+
+@pytest.fixture(params=sorted(SLAB_CASES))
+def slab_case(request, monkeypatch):
+    """Patch the slab size; the pool is rebuilt so forked workers
+    inherit the patched value, and torn down so later tests do not
+    run on workers that still carry it."""
+    monkeypatch.setattr(mc, "_SLAB_BYTES", SLAB_CASES[request.param])
+    pool_mod.shutdown_pool()
+    yield request.param
+    pool_mod.shutdown_pool()
+
+
+def slab_stack():
+    """Five cells of 40 systems with covered counts from 20 to 40."""
+    values, unc = random_stack(17, 5, 40, nan_frac=0.0)
+    for c, holes in enumerate((0, 20, 7, 13, 1)):
+        values[c, :holes] = np.nan
+        unc[c, :holes] = np.nan
+    return values, unc
+
+
+class TestSlabLoop:
+    def test_case_exercises_its_slab_shape(self, slab_case):
+        counts = (~np.isnan(slab_stack()[0])).sum(axis=1)
+        rows = [mc._slab_rows(SLAB_SAMPLES, int(k)) for k in counts]
+        if slab_case == "many-ragged-slabs":
+            assert all(1 < r < SLAB_SAMPLES for r in rows)
+            assert all(SLAB_SAMPLES % r for r in rows)
+        elif slab_case == "one-row-per-slab":
+            assert rows == [1] * len(rows)
+        else:
+            assert rows == [SLAB_SAMPLES] * len(rows)
+        assert len(set(counts.tolist())) == len(counts)
+
+    def test_sample_totals_match_reference(self, slab_case):
+        values, unc = slab_stack()
+        totals = sample_totals(values, unc, n_samples=SLAB_SAMPLES, seed=3)
+        for c in range(values.shape[0]):
+            assert np.array_equal(
+                totals[c], legacy_totals(values[c], unc[c], SLAB_SAMPLES, 3))
+
+    @pytest.mark.parametrize("method", ["serial", "shm"])
+    def test_band_stack_matches_reference(self, slab_case, method):
+        if method == "shm":
+            if not _pool_ready():
+                pytest.skip("cannot spawn worker processes")
+            seen = pool_mod.pool_map(_worker_slab_bytes, [0, 1],
+                                     max_workers=WORKERS)
+            assert seen == [SLAB_CASES[slab_case]] * 2
+        values, unc = slab_stack()
+        stack = mc_band_stack(values, unc, n_samples=SLAB_SAMPLES, seed=3,
+                              method=method, max_workers=WORKERS)
+        for c in range(values.shape[0]):
+            band = stack.band(c)
+            assert (band.mean_mt, band.p5_mt, band.p50_mt, band.p95_mt) \
+                == legacy_stats(values[c], unc[c], SLAB_SAMPLES, 3)
+
+
+class TestKernelAllocation:
+    """The kernel allocates the stream, one scratch slab and per-cell
+    inputs only — never a per-slab temporary or every cell's totals.
+
+    numpy reports its data buffers to ``tracemalloc``, so the traced
+    peak of a serial band build over an (8, 5000) x 200 stack is the
+    kernel's working set.  Cell 0 is fully covered (it sets the stream
+    length); the others have holes, so both cell shapes run.
+    """
+
+    N_SAMPLES = 200
+
+    @staticmethod
+    def stack():
+        values, unc = random_stack(29, 8, 5000)
+        full_values, full_unc = random_stack(30, 1, 5000, nan_frac=0.0)
+        values[0], unc[0] = full_values[0], full_unc[0]
+        return values, unc
+
+    def peak_bytes(self, values, unc):
+        mc_band_stack(values, unc, n_samples=self.N_SAMPLES,
+                      method="serial")      # warm any one-time state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mc_band_stack(values, unc, n_samples=self.N_SAMPLES,
+                          method="serial")
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_stream_plus_one_slab(self):
+        values, unc = self.stack()
+        m, (n_cells, k) = self.N_SAMPLES, values.shape
+        stream = m * k * 8
+        scratch = min(m * k, mc._SLAB_BYTES // 8) * 8
+        cell_inputs = 2 * k * 8 + 2 * k      # values, sigmas, masks
+        ufunc_buffer = np.getbufsize() * 8   # one ufunc iterator buffer
+        samples = 8 * m * 8                  # totals, percentile work
+        peak = self.peak_bytes(values, unc)
+        assert peak <= stream + scratch + cell_inputs + ufunc_buffer \
+            + samples
+        # Totals are per cell: two cells or all eight, same working set
+        # (a (C, n_samples) totals array would add 6 x 1600 bytes here).
+        assert peak - self.peak_bytes(values[:2], unc[:2]) \
+            < (n_cells - 2) * m * 8 // 2
 
 
 # ---------------------------------------------------------------------------
