@@ -1,84 +1,77 @@
-"""Scaling: serial vs chunked-pickle vs shared-memory batch assessment.
+"""Scaling: the Monte-Carlo band fan-out, serial kernel vs shm pool.
 
-Not a paper figure — the engineering benchmark for the scale-out path:
-the paper's future-work section asks for whole national portfolios
-(10⁴–10⁶ systems), so this measures batch assessment of synthetic
-Top500-shaped fleets (:func:`repro.data.synth_fleet`) across n under
-three dispatch methods:
+Not a paper figure — the engineering benchmark for the one process
+fan-out this codebase keeps.  Every other fleet-scale pass (batch
+assessment, scenario sweeps, projections, hour-window shifts) runs
+in-process, because a recorded fan-out lost to serial at every size
+measured (``docs/performance.md``).  The band stack is the exception:
+its cells are embarrassingly parallel and each costs ``n_samples ×
+covered systems`` draws, so the work per dispatched block dwarfs the
+dispatch.
 
-* ``serial`` — the in-process columnar kernels
-  (``batch_operational_mt`` + ``batch_embodied_mt``);
-* ``chunked-pickle`` — the process fan-out that pickles numpy column
-  chunks per task (``method="pickle"``);
-* ``shm`` — the zero-copy path: columns placed in shared memory once,
-  tasks carry handles, results return through a shared output segment
-  (``method="shm"`` over the persistent pool).
+This times :func:`repro.uncertainty.mc.mc_band_stack` with
+``method="serial"`` against ``method="shm"`` (the value/uncertainty
+stack placed in shared memory once, cell blocks over the persistent
+pool) at two stack shapes:
 
-Bit-identity of all three is asserted at **every** benchmarked n —
-the scalar-reference contract of ``docs/performance.md`` extends
-unchanged to the shared-memory pool.  The measured curve is written to
-``results/BENCH_scaling.json``; CI regenerates it at the largest
-smoke-testable n and ``benchmarks/check_throughput_regression.py``
-gates the recorded shm speedups (machine-normalized, same-run ratios).
+* ``fleet-batch`` — the shape the fleet-batch workload draws: the
+  64-scenario acceptance grid over a 5,000-system ``synth_fleet``,
+  1,000 draws per cell;
+* ``small`` — 16 scenarios over 1,000 systems, 1,000 draws per cell,
+  where the fixed dispatch cost weighs more.
 
-Set ``REPRO_BENCH_SCALING_FULL=1`` to extend the curve to n=200 000
-(the committed baseline); the default curve tops out at n=50 000 so
-the CI smoke step stays fast.
+Bit-identity of the two methods is asserted at both shapes.  The
+measured points are written to ``results/BENCH_scaling.json``;
+``benchmarks/check_throughput_regression.py`` gates the recorded
+``shm_vs_serial`` ratio at the ``fleet-batch`` shape against the
+committed value (a same-run, machine-normalized ratio).
 """
 
 import json
 import os
 import time
 
-import numpy as np
-
 from repro import scenarios
-from repro.core.vectorized import (
-    batch_embodied_mt,
-    batch_operational_mt,
-    clear_frame_cache,
-    fleet_frame,
-    parallel_batch_embodied_mt,
-    parallel_batch_operational_mt,
-)
+from repro.core.vectorized import clear_frame_cache
 from repro.data.synth_fleet import synth_fleet
-from repro.envflags import env_flag
 from repro.parallel import pool as pool_mod
 from repro.parallel import shm as shm_mod
+from repro.uncertainty import mc
 
-#: Dispatch-overhead comparisons need real workers even on small
-#: hosts; the recorded JSON carries both this and the host cpu count.
+#: Fan-out comparisons need real workers even on small hosts; the
+#: recorded JSON carries both this and the host cpu count.
 WORKERS = max(2, min(4, os.cpu_count() or 1))
 
-FULL = env_flag("REPRO_BENCH_SCALING_FULL")
-CURVE_NS = (500, 5_000, 50_000, 200_000) if FULL else (500, 5_000, 50_000)
+N_SAMPLES = 1_000
 
-#: The n the regression gate reads: large enough that dispatch costs
-#: dominate arithmetic, small enough for every CI smoke run.
-GATE_N = 50_000
+#: The shape the regression gate reads.
+GATE_SHAPE = "fleet-batch"
 
 
-def _assess_serial(records, frame):
-    return (batch_operational_mt(records, frame=frame),
-            batch_embodied_mt(records, frame=frame))
+def _acceptance_grid():
+    return scenarios.ScenarioGrid.cartesian(
+        scenarios.aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
+        scenarios.pue_axis((1.0, 1.1, 1.2, 1.3)),
+        scenarios.utilization_axis((0.5, 0.65, 0.8, 0.95)),
+    )
 
 
-def _assess_chunked(records, frame):
-    return (parallel_batch_operational_mt(records, frame=frame,
-                                          max_workers=WORKERS,
-                                          method="pickle"),
-            parallel_batch_embodied_mt(records, frame=frame,
-                                       max_workers=WORKERS,
-                                       method="pickle"))
+def _small_grid():
+    return scenarios.ScenarioGrid.cartesian(
+        scenarios.aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
+        scenarios.pue_axis((1.0, 1.1, 1.2, 1.3)),
+    )
 
 
-def _assess_shm(records, frame):
-    return (parallel_batch_operational_mt(records, frame=frame,
-                                          max_workers=WORKERS,
-                                          method="shm"),
-            parallel_batch_embodied_mt(records, frame=frame,
-                                       max_workers=WORKERS,
-                                       method="shm"))
+def _stack(n_systems: int, grid):
+    """A real operational value/uncertainty stack (nan = uncovered)."""
+    cube = scenarios.sweep(synth_fleet(n_systems, seed=20241118), grid)
+    return cube.operational_mt, cube.operational_unc
+
+
+def _bands(values, unc, method: str, n_samples: int = N_SAMPLES):
+    return mc.mc_band_stack(values, unc, n_samples=n_samples,
+                            method=method, max_workers=WORKERS)
 
 
 def _best_of(fn, rounds):
@@ -90,108 +83,55 @@ def _best_of(fn, rounds):
     return min(times)
 
 
-def _identical(a, b):
-    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
-
-
 def test_scaling_identity_smoke():
-    """Every dispatch method is bit-identical on a small synthetic fleet
-    (including the serial fallbacks CI hosts without /dev/shm take)."""
-    records = synth_fleet(1_500, seed=7)
-    frame = fleet_frame(records)
-    serial = _assess_serial(records, frame)
-    assert _identical(serial, _assess_chunked(records, frame))
-    assert _identical(serial, _assess_shm(records, frame))
-
-    # Scenario-block fan-out over the same fleet: cube bit-identity.
-    grid = scenarios.ScenarioGrid.cartesian(
-        scenarios.aci_scale_axis((1.0, 0.8)),
-        scenarios.pue_axis((1.0, 1.2)),
-    )
-    cube_serial = scenarios.sweep(records, grid, frame=frame)
-    cube_block = scenarios.sweep(records, grid, frame=frame,
-                                 parallel="scenario-block",
-                                 max_workers=WORKERS)
-    for field in ("operational_mt", "operational_unc",
-                  "embodied_mt", "embodied_unc"):
-        assert np.array_equal(getattr(cube_serial, field),
-                              getattr(cube_block, field), equal_nan=True)
-    shm_mod.release_shared_frames()
+    """Both methods are bit-identical on a small stack (including the
+    serial fallback CI hosts without /dev/shm take)."""
+    values, unc = _stack(300, _small_grid())
+    assert _bands(values, unc, "shm", 200) == _bands(values, unc, "serial",
+                                                     200)
+    assert shm_mod.live_owned_segments() == ()
 
 
 def test_scaling_curve(save_artifact):
-    """The scaling acceptance run: time all three methods across n,
-    assert bit-identity at every n, and record the curve + speedups as
-    the ``BENCH_scaling.json`` baseline for the CI gate."""
+    """Time both methods at both shapes, assert bit-identity, and record
+    the points as the ``BENCH_scaling.json`` baseline for the CI gate."""
     shm_ok = shm_mod.shm_available()
     pool_ok = pool_mod.pool_available(WORKERS)
+    shapes = (("small", 1_000, _small_grid()),
+              (GATE_SHAPE, 5_000, _acceptance_grid()))
     curve = []
-    for n in CURVE_NS:
-        records = synth_fleet(n, seed=20241118)
-        frame = fleet_frame(records)
-        rounds = 3 if n >= 50_000 else 5
-
-        serial = _assess_serial(records, frame)          # warm + reference
-        chunked = _assess_chunked(records, frame)
-        shm = _assess_shm(records, frame)
-        assert _identical(serial, chunked), f"chunked != serial at n={n}"
-        assert _identical(serial, shm), f"shm != serial at n={n}"
-
-        serial_s = _best_of(lambda: _assess_serial(records, frame), rounds)
-        chunked_s = _best_of(lambda: _assess_chunked(records, frame), rounds)
-        shm_s = _best_of(lambda: _assess_shm(records, frame), rounds)
+    for name, n_systems, grid in shapes:
+        values, unc = _stack(n_systems, grid)
+        serial = _bands(values, unc, "serial")       # warm + reference
+        assert _bands(values, unc, "shm") == serial, \
+            f"shm != serial at the {name} shape"
+        serial_s = _best_of(lambda: _bands(values, unc, "serial"), 3)
+        shm_s = _best_of(lambda: _bands(values, unc, "shm"), 3)
         curve.append({
-            "n": n,
+            "shape": name,
+            "n_cells": int(values.shape[0]),
+            "n_systems": n_systems,
+            "n_samples": N_SAMPLES,
+            "draws": int(serial.n_estimates.sum()) * N_SAMPLES,
             "serial_ms": serial_s * 1e3,
-            "chunked_pickle_ms": chunked_s * 1e3,
             "shm_ms": shm_s * 1e3,
             "shm_vs_serial": serial_s / shm_s,
-            "shm_vs_chunked": chunked_s / shm_s,
         })
-        shm_mod.release_shared_frames()
 
-    # Scenario-block sweep at portfolio scale (informational).
-    sweep_n = 5_000
-    records = synth_fleet(sweep_n, seed=20241118)
-    frame = fleet_frame(records)
-    grid = scenarios.ScenarioGrid.cartesian(
-        scenarios.aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
-        scenarios.pue_axis((1.0, 1.1, 1.2, 1.3)),
-        scenarios.utilization_axis((0.5, 0.65, 0.8, 0.95)),
-    )
-    cube_serial = scenarios.sweep(records, grid, frame=frame)
-    cube_block = scenarios.sweep(records, grid, frame=frame,
-                                 parallel="scenario-block",
-                                 max_workers=WORKERS)
-    assert np.array_equal(cube_serial.operational_mt,
-                          cube_block.operational_mt, equal_nan=True)
-    assert np.array_equal(cube_serial.embodied_mt,
-                          cube_block.embodied_mt, equal_nan=True)
-    sweep_serial_s = _best_of(
-        lambda: scenarios.sweep(records, grid, frame=frame), 3)
-    sweep_block_s = _best_of(
-        lambda: scenarios.sweep(records, grid, frame=frame,
-                                parallel="scenario-block",
-                                max_workers=WORKERS), 3)
-
-    # Span-summary sidecar: one traced pass of the batch assessment and
-    # the scenario-block sweep (workers ship their spans back through
-    # the dispatcher), aggregated per span name.  The timed rounds
-    # above all ran untraced.
+    # Span-summary sidecar: one traced shm pass at the gate shape
+    # (workers ship their spans back through the dispatcher),
+    # aggregated per span name.  The timed rounds above ran untraced.
     from repro import obs
     with obs.capture() as trace:
-        _assess_shm(records, frame)
-        scenarios.sweep(records, grid, frame=frame,
-                        parallel="scenario-block", max_workers=WORKERS)
+        _bands(values, unc, "shm")
     span_sidecar = {
         "benchmark": "bench_scaling",
-        "traced_pass": f"shm batch assessment + scenario-block sweep "
-                       f"(n={sweep_n}, {len(grid)} scenarios)",
+        "traced_pass": f"shm band stack ({values.shape[0]} cells x "
+                       f"{values.shape[1]} systems x {N_SAMPLES} draws)",
         "spans": obs.summarize(trace.records),
     }
-
-    shm_mod.release_shared_frames()
     clear_frame_cache()
+    assert shm_mod.live_owned_segments() == ()
 
     baseline = {
         "benchmark": "bench_scaling",
@@ -199,33 +139,13 @@ def test_scaling_curve(save_artifact):
         "cpu_count": os.cpu_count(),
         "shm_available": shm_ok,
         "pool_available": pool_ok,
-        "gate_n": GATE_N,
+        "gate_shape": GATE_SHAPE,
         "curve": curve,
-        "scenario_block_sweep": {
-            "n_systems": sweep_n,
-            "n_scenarios": len(grid),
-            "serial_ms": sweep_serial_s * 1e3,
-            "scenario_block_ms": sweep_block_s * 1e3,
-            "speedup_vs_serial": sweep_serial_s / sweep_block_s,
-        },
-        "note": ("one batch assessment = operational + embodied values "
-                 "over a synth_fleet; speedups are same-run, "
-                 "machine-normalized ratios.  chunked-pickle re-pickles "
-                 "numpy column chunks per call, shm attaches the pooled "
-                 "shared-memory frame zero-copy — the gap is pure "
-                 "serialization overhead and widens with n.  "
-                 "shm_vs_serial additionally needs multiple physical "
-                 "cores to exceed 1.0."),
+        "note": ("one pass = mc_band_stack over an operational "
+                 "(scenario x system) stack of a synth_fleet; speedups "
+                 "are same-run, machine-normalized ratios.  shm_vs_serial "
+                 "needs multiple physical cores to exceed 1.0."),
     }
     save_artifact("BENCH_scaling.json", json.dumps(baseline, indent=2))
     save_artifact("BENCH_scaling_spans.json",
                   json.dumps(span_sidecar, indent=2))
-
-    if shm_ok and pool_ok:
-        gated = [point for point in curve if point["n"] >= GATE_N]
-        assert gated, curve
-        # Generous in-test floor (CI smoke runs on noisy shared
-        # runners); the committed-baseline gate in
-        # check_throughput_regression.py holds the real line.
-        for point in gated:
-            assert point["shm_vs_chunked"] > 1.5, point

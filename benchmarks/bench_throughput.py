@@ -16,15 +16,9 @@ Engine notes:
 * ``engine="scalar"`` loops the reference models per record — the
   semantics both engines must (and, per ``tests/properties``, do)
   agree on.
-* the process-parallel path sends work in chunks; since the
-  ``functools.partial`` binding in ``parallel/executor.py`` the mapped
-  callable is bound once instead of being replicated into a
-  ``[fn] * n_chunks`` argument column (regression guard: chunked
-  dispatch overhead must stay linear in chunks, not items).
 """
 
 import json
-import os
 import statistics
 import time
 
@@ -38,8 +32,6 @@ from repro.core.vectorized import (
     batch_embodied_mt,
     batch_operational_mt,
     fleet_frame,
-    parallel_batch_embodied_mt,
-    parallel_batch_operational_mt,
 )
 
 
@@ -55,46 +47,6 @@ def test_throughput_scalar_fleet(benchmark, study):
     records = list(study.public_records)
     assessments = benchmark(ez.assess_fleet, records, engine="scalar")
     assert len(assessments) == 500
-
-
-def test_throughput_parallel_fleet(benchmark, study):
-    ez = EasyC()
-    records = list(study.public_records)
-    workers = min(4, os.cpu_count() or 1)
-
-    def run():
-        return ez.assess_fleet(records, parallel=True, max_workers=workers)
-
-    assessments = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(assessments) == 500
-
-
-def test_throughput_parallel_column_chunks(benchmark, study):
-    """Column-chunk fan-out: ships numpy buffers, not record lists."""
-    records = list(study.public_records)
-    frame = fleet_frame(records)
-    workers = min(4, os.cpu_count() or 1)
-
-    def run():
-        return parallel_batch_operational_mt(records, frame=frame,
-                                             max_workers=workers)
-
-    values = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(values) == 500
-
-
-def test_throughput_parallel_embodied_column_chunks(benchmark, study):
-    """Embodied column-chunk fan-out: factors + numpy buffers shipped."""
-    records = list(study.public_records)
-    frame = fleet_frame(records)
-    workers = min(4, os.cpu_count() or 1)
-
-    def run():
-        return parallel_batch_embodied_mt(records, frame=frame,
-                                          max_workers=workers)
-
-    values = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(values) == 500
 
 
 def _scenario_grid_64():

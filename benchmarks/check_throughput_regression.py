@@ -25,21 +25,15 @@ baseline are reported but never fail (so new metrics can land in the
 same PR that introduces them).
 
 With ``--scaling-baseline``/``--scaling-current`` the gate also reads
-``BENCH_scaling.json`` and checks, at the curve's gate n (the largest
-smoke-testable fleet size, recorded as ``gate_n``):
-
-* ``shm_vs_chunked`` — the shared-memory pool against the
-  chunked-pickle fan-out — against an absolute floor
-  (``--scaling-floor``, default 2.0: the scale-out acceptance
-  criterion) *and* against the committed value
-  (``--scaling-max-regression``, default 50 % — cross-machine ratio
-  variance is larger than same-engine variance);
-* ``shm_vs_serial`` — against the committed value only (it crosses
-  1.0 only on multi-core runners, so an absolute floor would be
-  machine policy, not a regression check).
-
-Scaling checks are skipped (reported, not failed) when the measuring
-runner had no shared memory or could not spawn processes.
+``BENCH_scaling.json`` (the Monte-Carlo band fan-out, serial kernel vs
+shm pool) and checks ``shm_vs_serial`` at the curve's gate shape
+(recorded as ``gate_shape``) against the committed value only
+(``--scaling-max-regression``, default 50 % — cross-machine ratio
+variance is larger than same-engine variance; the ratio exceeds 1.0
+only on multi-core runners, so an absolute floor would be machine
+policy, not a regression check).  Scaling checks are skipped
+(reported, not failed) when the measuring runner had no shared memory
+or could not spawn processes.
 
 With ``--serve-baseline``/``--serve-current`` the gate also reads
 ``BENCH_serve.json`` (the ``repro serve`` daemon benchmark) and checks
@@ -176,59 +170,42 @@ def _check_serve_floors(current: dict, max_regression: float,
                 f"(ceiling {ceiling:.2f}ms)")
 
 
-def _curve_point(data: dict, n: int) -> dict | None:
+def _curve_point(data: dict, shape: str) -> dict | None:
     for point in data.get("curve", ()):
-        if point.get("n") == n:
+        if point.get("shape") == shape:
             return point
     return None
 
 
-def _check_scaling(baseline: dict, current: dict, floor: float,
-                   max_regression: float, failures: list[str]) -> None:
-    """Gate the BENCH_scaling curve at its smoke-testable n."""
+def _check_scaling(baseline: dict, current: dict, max_regression: float,
+                   failures: list[str]) -> None:
+    """Gate the band fan-out's shm-vs-serial ratio at its gate shape."""
     if not (current.get("shm_available") and current.get("pool_available")):
         print("  scaling: runner has no shm/process pool — skip")
         return
-    gate_n = current.get("gate_n")
-    cur = _curve_point(current, gate_n)
-    base = _curve_point(baseline, gate_n)
+    shape = current.get("gate_shape")
+    cur = _curve_point(current, shape)
     if cur is None:
-        failures.append(f"scaling: no n={gate_n} point in current curve")
+        failures.append(f"scaling: no {shape!r} point in current curve")
         return
-
-    value = cur.get("shm_vs_chunked")
-    if value is None:
+    committed = (_curve_point(baseline, shape) or {}).get("shm_vs_serial")
+    measured = cur.get("shm_vs_serial")
+    label = f"scaling.shm_vs_serial@{shape}"
+    if committed is None:
+        print(f"  {label}: no committed baseline (current: {measured}) "
+              "— skip")
+        return
+    if measured is None:
+        failures.append(f"{label}: missing from current measurement")
+        return
+    limit = committed * (1.0 - max_regression)
+    status = "OK" if measured >= limit else "REGRESSION"
+    print(f"  {label}: baseline {committed:.2f} -> current {measured:.2f} "
+          f"(floor {limit:.2f}) {status}")
+    if measured < limit:
         failures.append(
-            f"scaling: shm_vs_chunked missing from the n={gate_n} "
-            "point of the current curve")
-    else:
-        status = "OK" if value >= floor else "BELOW FLOOR"
-        print(f"  scaling.shm_vs_chunked@n={gate_n}: {value:.2f} "
-              f"(floor {floor:.2f}) {status}")
-        if value < floor:
-            failures.append(
-                f"scaling: shm_vs_chunked at n={gate_n} is {value:.2f}, "
-                f"below the {floor:.2f}x acceptance floor")
-
-    for metric in ("shm_vs_chunked", "shm_vs_serial"):
-        committed = (base or {}).get(metric)
-        measured = cur.get(metric)
-        if committed is None:
-            print(f"  scaling.{metric}@n={gate_n}: no committed baseline "
-                  f"(current: {measured}) — skip")
-            continue
-        if measured is None:
-            failures.append(f"scaling: {metric} at n={gate_n} missing "
-                            "from current measurement")
-            continue
-        limit = committed * (1.0 - max_regression)
-        status = "OK" if measured >= limit else "REGRESSION"
-        print(f"  scaling.{metric}@n={gate_n}: baseline {committed:.2f} "
-              f"-> current {measured:.2f} (floor {limit:.2f}) {status}")
-        if measured < limit:
-            failures.append(
-                f"scaling: {metric} at n={gate_n} regressed "
-                f">{max_regression:.0%}: {committed:.2f} -> {measured:.2f}")
+            f"{label} regressed >{max_regression:.0%}: "
+            f"{committed:.2f} -> {measured:.2f}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -241,9 +218,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="committed BENCH_scaling.json")
     parser.add_argument("--scaling-current",
                         help="freshly measured BENCH_scaling.json")
-    parser.add_argument("--scaling-floor", type=float, default=2.0,
-                        help="absolute shm-vs-chunked floor at the gate n "
-                             "(default 2.0)")
     parser.add_argument("--scaling-max-regression", type=float, default=0.50,
                         help="tolerated fractional drop for scaling "
                              "speedups (default 0.50)")
@@ -285,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.scaling_current, encoding="utf-8") as fh:
             scaling_current = json.load(fh)
         _check_scaling(scaling_baseline, scaling_current,
-                       args.scaling_floor, args.scaling_max_regression,
-                       failures)
+                       args.scaling_max_regression, failures)
 
     if failures:
         print("\nthroughput regression gate FAILED:", file=sys.stderr)

@@ -6,8 +6,8 @@ assessment workflow the paper runs over the Top 500:
 * :meth:`EasyC.assess` — one system → :class:`SystemAssessment` with
   whichever estimates the visible data supports (uncovered models are
   ``None``, never an exception);
-* :meth:`EasyC.assess_fleet` — a whole list of systems, optionally in
-  parallel via :mod:`repro.parallel`;
+* :meth:`EasyC.assess_fleet` — a whole list of systems through the
+  columnar batch engine;
 * :meth:`EasyC.coverage_check` — the cheap requirements-only probe used
   by the coverage analysis (no model evaluation).
 """
@@ -65,9 +65,7 @@ class EasyC:
     # -- fleet ----------------------------------------------------------------
 
     def assess_fleet(self, records: Iterable[SystemRecord],
-                     *, parallel: bool = False,
-                     max_workers: int | None = None,
-                     engine: str = "vectorized",
+                     *, engine: str = "vectorized",
                      frame: "object | None" = None) -> list[SystemAssessment]:
         """Assess every system in a fleet.
 
@@ -78,16 +76,8 @@ class EasyC:
         asserted in ``tests/properties``.  Pass ``frame`` (a
         pre-extracted FleetFrame) when sweeping many model
         configurations over one fleet.
-
-        With ``parallel=True`` the evaluation fans out over processes
-        via :func:`repro.parallel.executor.parallel_map` — useful for
-        large sweeps (ablations evaluate thousands of scenario fleets);
-        a 500-system list is fast enough serially.
         """
         records = list(records)
-        if parallel:
-            from repro.parallel.executor import parallel_map
-            return parallel_map(self.assess, records, max_workers=max_workers)
         if engine == "vectorized":
             from repro.core.vectorized import assess_fleet_frame
             return assess_fleet_frame(records, self.operational_model,

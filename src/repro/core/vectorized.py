@@ -38,10 +38,9 @@ bit-identical, not merely close.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,16 +59,13 @@ from repro.core.record import SystemRecord
 from repro.errors import InsufficientDataError
 from repro.grid.intensity import GridIntensityDB, DEFAULT_GRID_DB
 from repro.hardware.memory import MemoryType
-from repro.parallel import tuning
 
 __all__ = [
-    "COLUMN_FIELDS",
     "FleetArrays",
     "FleetFrame",
     "FleetBatch",
     "EmbodiedBatch",
     "OperationalBatch",
-    "SparseRecords",
     "fleet_frame",
     "fleet_to_arrays",
     "fleet_batch_arrays",
@@ -77,8 +73,6 @@ __all__ = [
     "batch_embodied_mt",
     "operational_batch",
     "embodied_batch",
-    "parallel_batch_operational_mt",
-    "parallel_batch_embodied_mt",
     "assess_fleet_frame",
     "fleet_total_mt",
 ]
@@ -95,60 +89,6 @@ _OP_COMPONENT = 3       # component rebuild: scalar fallback
 _CPU_EXPLICIT = op_mod.CPU_COUNT_EXPLICIT
 _CPU_FROM_CORES = op_mod.CPU_COUNT_FROM_CORES
 _CPU_FROM_NODES = op_mod.CPU_COUNT_FROM_NODES
-
-#: Every array column of a FleetFrame, in declaration order — the
-#: single source of truth for slicing and the shared-memory adapters.
-COLUMN_FIELDS: tuple[str, ...] = (
-    "ranks", "install_year", "power_kw", "annual_energy_kwh",
-    "utilization", "op_path",
-    "loc_code", "region_missing", "emb_covered", "emb_needs_scalar",
-    "cpu_resolved", "n_cpus", "cpu_count_src", "cpu_code",
-    "cpu_derived_cores", "n_gpus", "gpu_code", "n_nodes", "nodes_derived",
-    "memory_gb", "memory_defaulted", "memtype_noted", "mem_code", "ssd_gb",
-    "ssd_defaulted",
-    "comp_covered", "comp_needs_scalar", "comp_n_cpus", "comp_cpu_src",
-    "comp_cpu_code", "comp_cpu_cores", "comp_accel", "comp_n_gpus",
-    "comp_gpu_code", "comp_n_nodes", "comp_memory_gb",
-    "comp_memory_defaulted", "comp_mem_code", "comp_ssd_gb",
-    "comp_ssd_defaulted", "cooling_code",
-)
-
-
-class SparseRecords:
-    """An n-length record sequence holding only a few real entries.
-
-    Stands in for ``FleetFrame.records`` on the worker side of the
-    shared-memory paths: the batch kernels index ``records[i]`` only
-    for scalar-fallback records, so those are the only objects that
-    cross the process boundary — every other index reads ``None``.
-    Supports exactly what the kernels use: ``len``, integer indexing,
-    and contiguous slicing (for :meth:`FleetFrame.slice`).
-    """
-
-    __slots__ = ("_n", "_items")
-
-    def __init__(self, n: int, items: dict[int, SystemRecord]) -> None:
-        self._n = n
-        self._items = items
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._n)
-            if step != 1:
-                raise ValueError("SparseRecords only supports step-1 slices")
-            return SparseRecords(
-                max(stop - start, 0),
-                {i - start: r for i, r in self._items.items()
-                 if start <= i < stop})
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError(index)
-        return self._items.get(index)
-
 
 @dataclass(frozen=True)
 class FleetFrame:
@@ -558,47 +498,6 @@ class FleetFrame:
             for h in range(24):
                 table[h, idx] = annual * factors[h]
         return table[:, self.loc_code]
-
-    def slice(self, start: int, stop: int) -> "FleetFrame":
-        """Column-sliced sub-frame (shares the lookup tables)."""
-        sliced = {name: getattr(self, name)[start:stop]
-                  for name in COLUMN_FIELDS}
-        return replace(self, records=self.records[start:stop],
-                       names=self.names[start:stop], **sliced)
-
-    # -- shared-memory adapters --------------------------------------------
-
-    def column_arrays(self) -> dict[str, np.ndarray]:
-        """The frame's array columns, keyed by field name.
-
-        The shape :class:`repro.parallel.shm.SharedFleetFrame` places
-        into shared memory; :meth:`from_columns` is the inverse.
-        """
-        return {name: getattr(self, name) for name in COLUMN_FIELDS}
-
-    @classmethod
-    def from_columns(cls, columns: dict[str, np.ndarray], *,
-                     locations, processors, accelerators, memory_types,
-                     records=None, names=None) -> "FleetFrame":
-        """Rebuild a frame around existing column arrays (zero-copy).
-
-        The worker-side attach adapter: ``columns`` are (read-only)
-        views into a shared segment, the lookup tables ride in the
-        (tiny) handle, and ``records`` is typically a
-        :class:`SparseRecords` carrying only the scalar-fallback
-        records — every batch kernel touches ``frame.records[i]`` for
-        exactly those indices.
-        """
-        n = len(columns["ranks"])
-        if records is None:
-            records = SparseRecords(n, {})
-        if names is None:
-            names = (None,) * n
-        return cls(records=records, names=names,
-                   locations=tuple(locations), processors=tuple(processors),
-                   accelerators=tuple(accelerators),
-                   memory_types=tuple(memory_types),
-                   **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,9 +980,8 @@ def _embodied_kg_terms(factors: _EmbodiedFactors, n_cpus: np.ndarray,
                                   np.ndarray, np.ndarray]:
     """Component terms (kg), mirroring the scalar breakdown order.
 
-    Pure column arithmetic — shared by the in-process batch path and
-    the process-parallel column-chunk workers, so the float-op order
-    lives in exactly one place.
+    Pure column arithmetic — shared by the batch path and the scenario
+    sweep kernel, so the float-op order lives in exactly one place.
     """
     cpu_kg = n_cpus * factors.cpu_pkg_kg[cpu_idx]
     gpu_kg = np.zeros(len(n_cpus))
@@ -1413,239 +1311,6 @@ def _materialize_embodied(frame: FleetFrame, emb: EmbodiedBatch,
     )
 
 
-# ---------------------------------------------------------------------------
-# Parallel column-chunk evaluation
-# ---------------------------------------------------------------------------
-
-def _op_chunk_worker(payload: tuple) -> np.ndarray:
-    """Worker body: evaluate one column chunk (module-level for pickling).
-
-    The payload ships numpy column slices plus only the records that
-    need the scalar fallback — not the whole record list.  Reuses
-    :func:`_operational_kernel`, so the float-op order lives in exactly
-    one place.
-    """
-    model, power, energy, util, aci, scalar_pos, scalar_records = payload
-    needs_scalar = np.zeros(len(aci), dtype=bool)
-    needs_scalar[scalar_pos] = True
-    records: list[SystemRecord | None] = [None] * len(aci)
-    for pos, record in zip(scalar_pos, scalar_records):
-        records[pos] = record
-    return _operational_kernel(power, energy, util, aci, needs_scalar,
-                               model, records)
-
-
-def parallel_batch_operational_mt(records: list[SystemRecord],
-                                  model: OperationalModel | None = None,
-                                  *, frame: FleetFrame | None = None,
-                                  max_workers: int | None = None,
-                                  chunks_per_worker: int = 4,
-                                  method: str = "auto") -> np.ndarray:
-    """Operational batch evaluation fanned out over processes.
-
-    Two dispatch methods, both equivalent to
-    :func:`batch_operational_mt` (asserted in tests):
-
-    * ``"pickle"`` — ships *column chunks* (numpy buffers) per task;
-      only the scarce component-path records cross the process
-      boundary as objects.  The right shape around n≈500–5000.
-    * ``"shm"`` — places the frame's columns in shared memory once
-      (pooled across calls) and fans tasks out over the persistent
-      worker pool; tasks carry only a segment handle, the model and
-      the fallback records.  The scale-out path for fleets ≫ 10⁴;
-      falls back to the serial batch (identical results) when shared
-      memory or process spawning is unavailable.
-
-    ``"auto"`` picks ``"shm"`` for large fleets on capable hosts and
-    ``"pickle"`` otherwise.  Whatever the method, execution runs under
-    the supervised dispatcher: crashed or hung shm blocks are retried,
-    and a rung that keeps failing degrades ``shm → pickle → serial``
-    with bit-identical results (see ``docs/robustness.md``).
-    """
-    from repro.parallel import resilience
-
-    model = model or OperationalModel()
-    if frame is None:
-        frame = fleet_frame(records)
-    if frame.n != len(records):
-        raise ValueError("frame/records length mismatch")
-    if method not in ("auto", "pickle", "shm"):
-        raise ValueError(f"unknown method {method!r}; "
-                         "expected 'auto', 'pickle' or 'shm'")
-    if method == "auto" and _want_shm("auto", frame.n, max_workers):
-        method = "shm"
-    rungs = []
-    if method == "shm":
-        if not _want_shm("shm", frame.n, max_workers):
-            return operational_batch(frame, model).values_mt
-        rungs.append(("shm", lambda: _shm_batch_eval(
-            frame, model, None, max_workers=max_workers).op_mt))
-    rungs.append(("pickle", lambda: _op_pickle_fanout(
-        frame, model, max_workers, chunks_per_worker)))
-    rungs.append(("serial",
-                  lambda: operational_batch(frame, model).values_mt))
-    return resilience.run_ladder(rungs, label="operational-batch")
-
-
-def _op_pickle_fanout(frame: FleetFrame, model: OperationalModel,
-                      max_workers: int | None,
-                      chunks_per_worker: int) -> np.ndarray | None:
-    """The ``"pickle"`` rung: column chunks over a short-lived pool.
-
-    Declines (returns ``None``) when worker processes are disabled —
-    the ladder then falls through to serial instead of spawning
-    processes the operator forbade.
-    """
-    from repro.parallel import pool as pool_mod
-    from repro.parallel.chunking import chunk_indices
-    from repro.parallel.executor import parallel_map
-
-    if pool_mod.processes_disabled():
-        return None
-    aci = frame.aci(model.grid)
-    needs_scalar = (frame.op_path == _OP_COMPONENT) & ~np.isnan(aci)
-
-    workers = max_workers or os.cpu_count() or 1
-    payloads = []
-    for start, stop in chunk_indices(frame.n,
-                                     max(workers * chunks_per_worker, 1)):
-        pos = np.flatnonzero(needs_scalar[start:stop])
-        payloads.append((
-            model,
-            frame.power_kw[start:stop], frame.annual_energy_kwh[start:stop],
-            frame.utilization[start:stop], aci[start:stop],
-            pos, [frame.records[start + p] for p in pos]))
-    results = parallel_map(_op_chunk_worker, payloads,
-                           max_workers=max_workers, chunks_per_worker=1,
-                           min_items=1)
-    if not results:
-        return np.full(0, np.nan)
-    return np.concatenate(results)
-
-
-def _emb_chunk_worker(payload: tuple) -> np.ndarray:
-    """Worker body: evaluate one embodied column chunk (module-level
-    for pickling).
-
-    Mirrors :func:`_op_chunk_worker`: the payload ships numpy column
-    slices plus the resolved per-unique-device factor tables and only
-    the records that need the scalar fallback.  Reuses
-    :func:`_embodied_kg_terms`, so the float-op order lives in exactly
-    one place.
-    """
-    (model, factors, n_cpus, cpu_idx, n_gpus, gpu_code, memory_gb, mem_idx,
-     ssd_gb, n_nodes, array_ok, scalar_pos, scalar_records) = payload
-    cpu_kg, gpu_kg, mem_kg, ssd_kg, node_kg = _embodied_kg_terms(
-        factors, n_cpus, cpu_idx, n_gpus, gpu_code, memory_gb, mem_idx,
-        ssd_gb, n_nodes)
-    total_kg = (((cpu_kg + gpu_kg) + mem_kg) + ssd_kg) + node_kg
-    values = np.full(len(n_cpus), np.nan)
-    values[array_ok] = total_kg[array_ok] / units.KG_PER_MT
-    for pos, record in zip(scalar_pos, scalar_records):
-        try:
-            values[pos] = model.estimate(record).value_mt
-        except InsufficientDataError:
-            values[pos] = np.nan
-    return values
-
-
-def parallel_batch_embodied_mt(records: list[SystemRecord],
-                               model: EmbodiedModel | None = None,
-                               *, frame: FleetFrame | None = None,
-                               max_workers: int | None = None,
-                               chunks_per_worker: int = 4,
-                               method: str = "auto") -> np.ndarray:
-    """Embodied batch evaluation fanned out over processes.
-
-    The embodied sibling of :func:`parallel_batch_operational_mt`,
-    with the same two dispatch methods.  Under ``"pickle"``, device
-    factors are resolved once per unique device in the parent, then
-    column chunks (numpy buffers plus the factor tables) ship to the
-    workers; under ``"shm"``, workers attach the pooled shared-memory
-    frame zero-copy and only the model and scarce scalar-fallback
-    records are pickled.  Equivalent to :func:`batch_embodied_mt`
-    (asserted in tests), with automatic serial fallback when shared
-    memory or process spawning is unavailable, and supervised recovery
-    (retries + the ``shm → pickle → serial`` ladder) on failures.
-    """
-    from repro.parallel import resilience
-
-    model = model or EmbodiedModel()
-    if frame is None:
-        frame = fleet_frame(records)
-    if frame.n != len(records):
-        raise ValueError("frame/records length mismatch")
-    if method not in ("auto", "pickle", "shm"):
-        raise ValueError(f"unknown method {method!r}; "
-                         "expected 'auto', 'pickle' or 'shm'")
-    if method == "auto" and _want_shm("auto", frame.n, max_workers):
-        method = "shm"
-    rungs = []
-    if method == "shm":
-        if not _want_shm("shm", frame.n, max_workers):
-            return embodied_batch(frame, model).values_mt
-        rungs.append(("shm", lambda: _shm_batch_eval(
-            frame, None, model, max_workers=max_workers).emb_mt))
-    rungs.append(("pickle", lambda: _emb_pickle_fanout(
-        frame, model, max_workers, chunks_per_worker)))
-    rungs.append(("serial",
-                  lambda: embodied_batch(frame, model).values_mt))
-    return resilience.run_ladder(rungs, label="embodied-batch")
-
-
-def _emb_pickle_fanout(frame: FleetFrame, model: EmbodiedModel,
-                       max_workers: int | None,
-                       chunks_per_worker: int) -> np.ndarray | None:
-    """The embodied ``"pickle"`` rung (declines when processes are
-    disabled, like :func:`_op_pickle_fanout`)."""
-    from repro.parallel import pool as pool_mod
-    from repro.parallel.chunking import chunk_indices
-    from repro.parallel.executor import parallel_map
-
-    if pool_mod.processes_disabled():
-        return None
-    factors = _resolve_embodied_factors(frame, model)
-    array_ok, needs_scalar, cpu_idx, mem_idx = \
-        _embodied_partition(frame, factors)
-
-    workers = max_workers or os.cpu_count() or 1
-    payloads = []
-    for start, stop in chunk_indices(frame.n,
-                                     max(workers * chunks_per_worker, 1)):
-        pos = np.flatnonzero(needs_scalar[start:stop])
-        payloads.append((
-            model, factors,
-            frame.n_cpus[start:stop], cpu_idx[start:stop],
-            frame.n_gpus[start:stop], frame.gpu_code[start:stop],
-            frame.memory_gb[start:stop], mem_idx[start:stop],
-            frame.ssd_gb[start:stop], frame.n_nodes[start:stop],
-            array_ok[start:stop],
-            pos, [frame.records[start + p] for p in pos]))
-    results = parallel_map(_emb_chunk_worker, payloads,
-                           max_workers=max_workers, chunks_per_worker=1,
-                           min_items=1)
-    if not results:
-        return np.full(0, np.nan)
-    return np.concatenate(results)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory pool evaluation (zero-copy fan-out for large fleets)
-# ---------------------------------------------------------------------------
-
-#: Below this many records the ``"auto"`` policy stays serial: the
-#: pool round trip and segment bookkeeping cost several serial
-#: runtimes until the fleet is large, and the break-even needs real
-#: cores on top.  The threshold is *adaptive*: derived at import from
-#: the recorded scaling curve (``results/BENCH_scaling.json`` —
-#: the shm-vs-serial crossover, log-log interpolated and clamped; see
-#: :mod:`repro.parallel.tuning`), overridable with ``REPRO_SHM_MIN_N``,
-#: and falling back to the old conservative 100 000 when no curve has
-#: been recorded.  Callers who know their host can always pass
-#: ``parallel="shm"`` / ``method="shm"`` explicitly.
-_SHM_MIN_N: int = tuning.shm_crossover_n()
-
-
 @dataclass(frozen=True)
 class FleetBatch:
     """Value/uncertainty arrays of one fleet evaluation (nan = uncovered).
@@ -1662,158 +1327,18 @@ class FleetBatch:
     emb_unc: np.ndarray | None
 
 
-def _operational_fallback_mask(frame: FleetFrame,
-                               model: OperationalModel) -> np.ndarray:
-    """Records the operational batch would send to the scalar model.
-
-    The *exact* partition the worker will recompute (it depends only
-    on frame columns and per-unique-device factor resolution, both
-    value-deterministic across the pickle boundary), resolved in the
-    parent so only these records — typically none, on well-formed
-    fleets — ship to pool workers as objects.
-    """
-    is_comp = frame.op_path == _OP_COMPONENT
-    if not bool(is_comp.any()):
-        return np.zeros(frame.n, dtype=bool)
-    factors = _resolve_component_factors(frame, model)
-    _, needs_scalar = _component_partition(frame, model, factors)
-    return needs_scalar
-
-
-def _embodied_fallback_mask(frame: FleetFrame,
-                            model: EmbodiedModel) -> np.ndarray:
-    """Records the embodied batch would send to the scalar model
-    (the embodied sibling of :func:`_operational_fallback_mask`)."""
-    factors = _resolve_embodied_factors(frame, model)
-    return _embodied_partition(frame, factors)[1]
-
-
-def _shm_eval_worker(task: tuple) -> None:
-    """Pool-worker body: evaluate one row chunk against the shared frame.
-
-    Attaches the frame's columns zero-copy (cached per process), runs
-    the ordinary in-process batch kernels on a column slice, and writes
-    the results into the shared output arrays — nothing but the model
-    configuration and the scarce fallback records was pickled in, and
-    nothing is pickled out.
-    """
-    handle, out_handle, start, stop, op_model, emb_model, items = task
-    from repro.parallel import shm as shm_mod
-
-    frame = shm_mod.attach_frame(
-        handle, records=SparseRecords(handle.n, dict(items)))
-    sub = frame.slice(start, stop)
-    out = shm_mod.attach(out_handle)
-    if op_model is not None:
-        opb = operational_batch(sub, op_model)
-        out["op_mt"][start:stop] = opb.values_mt
-        out["op_unc"][start:stop] = opb.uncertainty_frac
-    if emb_model is not None:
-        emb = embodied_batch(sub, emb_model)
-        out["emb_mt"][start:stop] = emb.values_mt
-        out["emb_unc"][start:stop] = emb.uncertainty_frac
-
-
-def _shm_batch_eval(frame: FleetFrame,
-                    op_model: OperationalModel | None,
-                    emb_model: EmbodiedModel | None, *,
-                    max_workers: int | None = None,
-                    chunks_per_worker: int = 1) -> FleetBatch:
-    """Evaluate a frame through the shared-memory worker pool.
-
-    The frame's columns are placed in shared memory once (pooled by
-    frame identity across calls); per call, one small output segment is
-    created and unlinked in ``finally``.  Callers are responsible for
-    checking pool/shm availability first.
-
-    Dispatch is supervised: a worker crash retries only the lost row
-    chunks against a rebuilt pool, and a chunk missing its deadline
-    kills the pool and retries — every chunk is a pure function of its
-    inputs writing a disjoint output slice, so recovery preserves
-    bit-identity.
-    """
-    from repro.parallel import resilience
-    from repro.parallel import shm as shm_mod
-    from repro.parallel.chunking import chunk_indices
-
-    workers = max_workers or os.cpu_count() or 1
-    fallback = np.zeros(frame.n, dtype=bool)
-    if op_model is not None:
-        fallback |= _operational_fallback_mask(frame, op_model)
-    if emb_model is not None:
-        fallback |= _embodied_fallback_mask(frame, emb_model)
-
-    with obs.span("fanout.shm_batch", n_systems=frame.n,
-                  workers=workers):
-        shared = shm_mod.shared_fleet_frame(frame)
-        out_arrays: dict[str, np.ndarray] = {}
-        if op_model is not None:
-            out_arrays["op_mt"] = np.full(frame.n, np.nan)
-            out_arrays["op_unc"] = np.full(frame.n, np.nan)
-        if emb_model is not None:
-            out_arrays["emb_mt"] = np.full(frame.n, np.nan)
-            out_arrays["emb_unc"] = np.full(frame.n, np.nan)
-        out_pack = shm_mod.SharedArrayPack.create(out_arrays)
-        try:
-            tasks = []
-            for start, stop in chunk_indices(
-                    frame.n, max(workers * chunks_per_worker, 1)):
-                idx = np.flatnonzero(fallback[start:stop]) + start
-                items = tuple((int(i), frame.records[i]) for i in idx)
-                tasks.append((shared.handle, out_pack.handle, start, stop,
-                              op_model, emb_model, items))
-            resilience.supervised_map(_shm_eval_worker, tasks,
-                                      max_workers=max_workers,
-                                      label="fleet-batch")
-            out = out_pack.arrays()
-            batch = FleetBatch(
-                op_mt=np.array(out["op_mt"]) if op_model is not None
-                else None,
-                op_unc=np.array(out["op_unc"]) if op_model is not None
-                else None,
-                emb_mt=np.array(out["emb_mt"]) if emb_model is not None
-                else None,
-                emb_unc=np.array(out["emb_unc"]) if emb_model is not None
-                else None,
-            )
-        finally:
-            out_pack.unlink()
-    return batch
-
-
-def _want_shm(parallel, n: int, max_workers: int | None) -> bool:
-    """Resolve a ``parallel`` policy against this host's capabilities."""
-    if parallel in (False, "never", "serial"):
-        return False
-    if parallel not in (True, "auto", "shm"):
-        raise ValueError(f"unknown parallel policy {parallel!r}; expected "
-                         "'auto', 'shm'/True, or 'never'/False")
-    if parallel == "auto" and n < _SHM_MIN_N:
-        return False
-    from repro.parallel import pool as pool_mod
-    from repro.parallel import shm as shm_mod
-    return shm_mod.shm_available() and pool_mod.pool_available(max_workers)
-
-
 def fleet_batch_arrays(records: Sequence[SystemRecord],
                        operational_model: OperationalModel | None = None,
                        embodied_model: EmbodiedModel | None = None, *,
-                       frame: FleetFrame | None = None,
-                       parallel: "bool | str" = "auto",
-                       max_workers: int | None = None) -> FleetBatch:
+                       frame: FleetFrame | None = None) -> FleetBatch:
     """Both footprints' value/uncertainty arrays for one fleet.
 
     The portfolio-scale assessment entry point: one call evaluates
     operational and embodied models over the fleet and returns plain
     arrays (nan = uncovered) — what :func:`repro.fleets.assess_fleet`
     and :func:`repro.fleets.assess_portfolio` build reports from.
-
-    ``parallel="auto"`` routes through the shared-memory worker pool
-    for fleets of ≥ ``_SHM_MIN_N`` records when the host supports it;
-    ``"shm"``/``True`` asks for the pool explicitly (with automatic
-    serial fallback when it is unavailable); ``"never"``/``False``
-    forces the in-process path.  All paths produce bit-identical
-    arrays (asserted in ``tests/parallel/test_shm.py``).
+    Always in-process: at every recorded fleet size the serial kernels
+    beat a process fan-out (``docs/performance.md``).
     """
     op_model = operational_model or OperationalModel()
     emb_model = embodied_model or EmbodiedModel()
@@ -1822,20 +1347,10 @@ def fleet_batch_arrays(records: Sequence[SystemRecord],
         frame = fleet_frame(records)
     if frame.n != len(records):
         raise ValueError("frame/records length mismatch")
-    def _serial_batch() -> FleetBatch:
-        opb = operational_batch(frame, op_model)
-        emb = embodied_batch(frame, emb_model)
-        return FleetBatch(op_mt=opb.values_mt, op_unc=opb.uncertainty_frac,
-                          emb_mt=emb.values_mt, emb_unc=emb.uncertainty_frac)
-
-    if _want_shm(parallel, frame.n, max_workers):
-        from repro.parallel import resilience
-        return resilience.run_ladder(
-            (("shm", lambda: _shm_batch_eval(frame, op_model, emb_model,
-                                             max_workers=max_workers)),
-             ("serial", _serial_batch)),
-            label="fleet-batch")
-    return _serial_batch()
+    opb = operational_batch(frame, op_model)
+    emb = embodied_batch(frame, emb_model)
+    return FleetBatch(op_mt=opb.values_mt, op_unc=opb.uncertainty_frac,
+                      emb_mt=emb.values_mt, emb_unc=emb.uncertainty_frac)
 
 
 def fleet_total_mt(records: list[SystemRecord],

@@ -12,7 +12,7 @@ subclasses distinguish the three failure domains that matter to users:
 * misconfiguration of the models themselves (:class:`ConfigError`),
 * the parallel substrate giving up after supervised recovery
   (:class:`FanOutError` and friends — raised only once retries and the
-  shm → pickle → serial degradation ladder are both exhausted; see
+  shm → serial degradation ladder are both exhausted; see
   ``docs/robustness.md``), and
 * the assessment service refusing or abandoning a request
   (:class:`ServeError` and friends — each subclass names one refusal
@@ -83,9 +83,9 @@ class FanOutError(ReproError):
 
     The supervised dispatcher (:mod:`repro.parallel.resilience`)
     retries crashed and hung blocks and degrades through the
-    shm → pickle → serial ladder before raising; an escaped
+    shm → serial ladder before raising; an escaped
     ``FanOutError`` therefore means every recovery path was exhausted.
-    ``label`` names the dispatch that failed (e.g. ``"scenario-sweep"``).
+    ``label`` names the dispatch that failed (e.g. ``"mc-bands"``).
     """
 
     def __init__(self, message: str, *, label: str = "fan-out"):

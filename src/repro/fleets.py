@@ -104,22 +104,17 @@ def _report_from_arrays(name: str, records: tuple[SystemRecord, ...],
 
 
 def assess_fleet(fleet: Fleet, easyc: EasyC | None = None,
-                 mc_samples: int = 2000, *,
-                 parallel: "bool | str" = "auto",
-                 max_workers: int | None = None) -> FleetReport:
+                 mc_samples: int = 2000) -> FleetReport:
     """Assess a named fleet: coverage, totals, uncertainty, equivalences.
 
     Runs both models over the fleet's cached
     :class:`~repro.core.vectorized.FleetFrame` as batch arrays
-    (``parallel`` forwards to
-    :func:`~repro.core.vectorized.fleet_batch_arrays`, so fleets far
-    larger than the Top 500 fan out over the shared-memory pool);
-    assessments stay lazy on the report.
+    (:func:`~repro.core.vectorized.fleet_batch_arrays`); assessments
+    stay lazy on the report.
     """
     ez = easyc or EasyC()
     batch = fleet_batch_arrays(list(fleet.systems), ez.operational_model,
-                               ez.embodied_model, parallel=parallel,
-                               max_workers=max_workers)
+                               ez.embodied_model)
     return _report_from_arrays(fleet.name, fleet.systems, ez,
                                batch.op_mt, batch.op_unc,
                                batch.emb_mt, batch.emb_unc, mc_samples)
@@ -127,7 +122,7 @@ def assess_fleet(fleet: Fleet, easyc: EasyC | None = None,
 
 @dataclass(frozen=True)
 class PortfolioReport:
-    """Per-fleet reports for a portfolio assessed through one pool."""
+    """Per-fleet reports for a portfolio assessed as one batch."""
 
     reports: tuple[FleetReport, ...]
 
@@ -156,17 +151,14 @@ class PortfolioReport:
 
 
 def assess_portfolio(fleets: Iterable[Fleet], easyc: EasyC | None = None, *,
-                     mc_samples: int = 2000,
-                     parallel: "bool | str" = "auto",
-                     max_workers: int | None = None) -> PortfolioReport:
+                     mc_samples: int = 2000) -> PortfolioReport:
     """Assess many fleets as one batched evaluation.
 
     The paper's future-work scale-out: rather than assessing each
     fleet separately, every system of every fleet is concatenated into
     one :class:`~repro.core.vectorized.FleetFrame` and evaluated in a
     single batch pass — one frame extraction, one factor resolution
-    per unique device, and (for large portfolios) one shared-memory
-    placement feeding one persistent worker pool.  The combined arrays
+    per unique device.  The combined arrays
     are then sliced back into per-fleet :class:`FleetReport`\\ s whose
     numbers are bit-identical to assessing each fleet alone (asserted
     in ``tests/test_fleets_and_cli.py``).
@@ -178,8 +170,7 @@ def assess_portfolio(fleets: Iterable[Fleet], easyc: EasyC | None = None, *,
     all_records = [record for fleet in fleets for record in fleet.systems]
     frame = fleet_frame(all_records)
     batch = fleet_batch_arrays(all_records, ez.operational_model,
-                               ez.embodied_model, frame=frame,
-                               parallel=parallel, max_workers=max_workers)
+                               ez.embodied_model, frame=frame)
     reports = []
     offset = 0
     for fleet in fleets:
@@ -212,9 +203,7 @@ def sweep_fleet(fleet: Fleet, specs, easyc: EasyC | None = None):
 
 
 def project_fleet(fleet: Fleet, specs=None, easyc: EasyC | None = None, *,
-                  years=None, end_year=None, turnover=None,
-                  parallel: str | None = None,
-                  max_workers: int | None = None):
+                  years=None, end_year=None, turnover=None):
     """Temporal projection of a named fleet's footprints.
 
     The portfolio planning entry point: "where do this fleet's
@@ -232,8 +221,7 @@ def project_fleet(fleet: Fleet, specs=None, easyc: EasyC | None = None, *,
     return project_sweep(list(fleet.systems), specs,
                          years=years, end_year=end_year, turnover=turnover,
                          operational_model=ez.operational_model,
-                         embodied_model=ez.embodied_model,
-                         parallel=parallel, max_workers=max_workers)
+                         embodied_model=ez.embodied_model)
 
 
 # ---------------------------------------------------------------------------

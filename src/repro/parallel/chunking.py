@@ -3,15 +3,10 @@
 Splits ``n`` items into at most ``n_chunks`` contiguous, balanced
 chunks: sizes differ by at most one, order is preserved, nothing is
 dropped or duplicated.  These invariants are property-tested in
-``tests/parallel/test_chunking.py``.
+``tests/parallel/test_parallel.py``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator, Sequence
-from typing import TypeVar
-
-T = TypeVar("T")
 
 
 def chunk_indices(n: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -39,8 +34,3 @@ def chunk_indices(n: int, n_chunks: int) -> list[tuple[int, int]]:
         start += size
     return ranges
 
-
-def chunked(items: Sequence[T], n_chunks: int) -> Iterator[list[T]]:
-    """Yield the items of each chunk as a list."""
-    for start, stop in chunk_indices(len(items), n_chunks):
-        yield list(items[start:stop])

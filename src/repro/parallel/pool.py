@@ -1,22 +1,20 @@
-"""Persistent worker pool, reused across batch calls.
+"""Persistent worker pool for the Monte-Carlo band fan-out.
 
-The column-chunk fan-out in :mod:`repro.core.vectorized` originally
-created a fresh ``ProcessPoolExecutor`` per call; at fleet scale the
-pool is the steady-state substrate instead — created once, reused by
-every shared-memory batch call, scenario-block sweep, and portfolio
-assessment, and torn down at interpreter exit.  Three properties the
-callers rely on:
+The pool is created once, reused by every
+:func:`~repro.uncertainty.mc.mc_band_stack` call that fans out, and
+torn down at interpreter exit.  Dispatch goes through
+:func:`repro.parallel.resilience.supervised_map`; this module only
+owns the pool's lifecycle.  The properties callers rely on:
 
 * **Serial fallback is first-class.**  ``get_pool`` returns ``None``
-  (and :func:`pool_map` runs inline) whenever processes are
+  (and the supervised dispatcher runs inline) whenever processes are
   unavailable: a single-CPU host with no explicit worker count, a
   sandbox where spawning fails, or ``REPRO_DISABLE_PROCESS_POOL=1``.
   Callers get identical results either way — only the wall clock
   changes.
-* **Worker death raises cleanly.**  A worker dying mid-batch surfaces
-  as :class:`WorkerCrashError` (not a hung future or a bare
-  ``BrokenProcessPool``), the broken pool is discarded, and the next
-  call builds a fresh one.
+* **A broken pool is replaced, never reused.**  :func:`kill_pool`
+  terminates a pool whose worker died or hung, and the next
+  :func:`get_pool` builds a fresh one.
 * **Fork-safety of teardown.**  The atexit teardown and all pool state
   are PID-guarded, so a forked worker inheriting this module never
   shuts down (or double-frees) its parent's pool.
@@ -39,16 +37,10 @@ import multiprocessing
 import os
 import signal
 import sys
-from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import TypeVar
 
 from repro import obs
 from repro.envflags import env_flag
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 __all__ = [
     "WorkerCrashError",
@@ -56,7 +48,6 @@ __all__ = [
     "pool_status",
     "processes_disabled",
     "get_pool",
-    "pool_map",
     "shutdown_pool",
     "kill_pool",
     "reset_pool",
@@ -156,9 +147,8 @@ def pool_status(max_workers: int | None = None) -> dict[str, bool]:
 def processes_disabled() -> bool:
     """Whether ``REPRO_DISABLE_PROCESS_POOL`` forbids worker processes.
 
-    Consulted by every process-spawning path — the persistent pool here
-    *and* the short-lived chunked executor — so one flag really does
-    mean "serial everywhere".
+    The persistent pool is the only process-spawning path, so one flag
+    really does mean "serial everywhere".
     """
     return env_flag(DISABLE_ENV)
 
@@ -221,29 +211,6 @@ def get_pool(max_workers: int | None = None) -> ProcessPoolExecutor | None:
         except Exception:
             pass
     return pool
-
-
-def pool_map(fn: Callable[[T], R], tasks: Sequence[T], *,
-             max_workers: int | None = None) -> list[R]:
-    """Map ``fn`` over ``tasks`` through the persistent pool, in order.
-
-    Falls back to an inline loop when no pool is available (identical
-    results).  A worker dying mid-batch raises
-    :class:`WorkerCrashError` after discarding the broken pool;
-    ordinary exceptions raised *by* ``fn`` propagate unchanged.
-    """
-    tasks = list(tasks)
-    pool = get_pool(max_workers)
-    if pool is None or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    try:
-        return list(pool.map(fn, tasks))
-    except BrokenProcessPool as exc:
-        shutdown_pool()
-        raise WorkerCrashError(
-            "a worker process died mid-batch; the batch was discarded "
-            "and the pool torn down (retrying builds a fresh pool)"
-        ) from exc
 
 
 def shutdown_pool() -> None:

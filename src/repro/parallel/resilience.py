@@ -1,32 +1,27 @@
 """Supervised fan-out: retries, deadlines, and a degradation ladder.
 
-Before this module every fan-out failure was terminal: a worker dying
-mid-batch raised :class:`~repro.parallel.pool.WorkerCrashError` and the
-caller lost the whole sweep, a hung worker blocked forever, and the
-only "recovery" was the caller rerunning everything from scratch.  A
-long-lived assessment service cannot stand on that substrate, so the
-four fan-out callers (the shm batch evaluator in
-:mod:`repro.core.vectorized`, the scenario-block sweep, the projection
-engine riding on it, and the Monte-Carlo band fan-out in
-:mod:`repro.uncertainty.mc`) now route through two layers here:
+The one process fan-out in this codebase — the Monte-Carlo band
+stack in :mod:`repro.uncertainty.mc` — routes through two layers here,
+so a worker failure costs a retry rather than the caller's whole
+computation:
 
-* :func:`supervised_map` replaces ``pool_map`` inside a rung: each
-  task block becomes its own future; a worker crash discards only the
-  *lost* blocks (completed results are kept) and re-dispatches them
-  against a rebuilt pool with bounded attempts and deterministic
-  exponential backoff (:class:`RetryPolicy` — jitter-free, because
-  every block is a pure function of its inputs and bit-identity must
-  survive the retry); a block missing its deadline kills the pool
-  (hung workers never return), counts as a crash, and retries.
-* :func:`run_ladder` degrades *across* rungs — ``shm → pickle →
-  serial`` where all three exist — when a whole rung keeps failing
-  (segment creation failing, attach raising, retries exhausted).
-  Every rung produces bit-identical results by contract, so degrading
-  trades only wall clock, never correctness.  After
-  :data:`LATCH_AFTER` failures a rung latches off for the rest of the
-  process (one :class:`DegradedFanOutWarning`), so a flaky host stops
-  paying the failed-dispatch tax; ``REPRO_FORCE_METHOD`` pins one rung
-  for operators who already know their host.
+* :func:`supervised_map` dispatches each task block as its own future;
+  a worker crash discards only the *lost* blocks (completed results
+  are kept) and re-dispatches them against a rebuilt pool with bounded
+  attempts and deterministic exponential backoff (:class:`RetryPolicy`
+  — jitter-free, because every block is a pure function of its inputs
+  and bit-identity must survive the retry); a block missing its
+  deadline kills the pool (hung workers never return), counts as a
+  crash, and retries.
+* :func:`run_ladder` degrades *across* rungs — ``shm → serial`` — when
+  the shm rung keeps failing (segment creation failing, attach
+  raising, retries exhausted).  Both rungs produce bit-identical
+  results by contract, so degrading trades only wall clock, never
+  correctness.  After :data:`LATCH_AFTER` failures a rung latches off
+  for the rest of the process (one :class:`DegradedFanOutWarning`), so
+  a flaky host stops paying the failed-dispatch tax;
+  ``REPRO_FORCE_METHOD`` (``shm`` or ``serial``) pins one rung for
+  operators who already know their host.
 
 Fault points from :mod:`repro.parallel.faults` are consulted in the
 worker wrapper, which is how the chaos suite
@@ -79,7 +74,7 @@ __all__ = [
     "BACKOFF_ENV",
 ]
 
-#: Pin one ladder rung (``shm`` / ``pickle`` / ``serial``) process-wide.
+#: Pin one ladder rung (``shm`` / ``serial``) process-wide.
 FORCE_METHOD_ENV = "REPRO_FORCE_METHOD"
 #: Per-block attempt budget override (positive integer).
 ATTEMPTS_ENV = "REPRO_FANOUT_ATTEMPTS"
@@ -92,8 +87,9 @@ BACKOFF_ENV = "REPRO_FANOUT_BACKOFF_S"
 LATCH_AFTER: int = 3
 
 #: Default per-block deadline.  Generous — the largest recorded block
-#: (a 10⁵-system shm chunk) completes in single-digit seconds, so a
-#: block holding a core for ten minutes is wedged, not slow.
+#: (half of a 64-cell × 5,000-system × 1,000-draw band stack) completes
+#: in about a second, so a block holding a core for ten minutes is
+#: wedged, not slow.
 DEFAULT_TIMEOUT_S: float = 600.0
 DEFAULT_ATTEMPTS: int = 3
 DEFAULT_BACKOFF_S: float = 0.05
@@ -230,7 +226,7 @@ def _run_block(fn: Callable[[T], R], task: T, block: int,
 
     Module-level so it pickles; this is the *only* place the dispatcher
     adds to the worker body, which keeps the supervised path's results
-    byte-for-byte those of the bare ``pool_map`` path.  The fault point
+    byte-for-byte those of calling ``fn`` inline.  The fault point
     fires *before* any tracing machinery so chaos semantics are
     identical traced and untraced.  With ``traced`` the block's spans
     are buffered and shipped home inside a :class:`_TracedSlice`; the
@@ -259,10 +255,9 @@ def supervised_map(fn: Callable[[T], R], tasks: Sequence[T], *,
                    label: str = "fan-out") -> list[R]:
     """Map ``fn`` over task blocks with supervision, preserving order.
 
-    The resilient replacement for :func:`repro.parallel.pool.pool_map`:
-    identical results (every block is a pure function of its inputs),
-    but a worker crash or hang costs one retry round for the *lost*
-    blocks instead of the whole batch.  Falls back to an inline loop
+    Every block is a pure function of its inputs, so the result equals
+    ``[fn(t) for t in tasks]``; a worker crash or hang costs one retry
+    round for the *lost* blocks instead of the whole batch.  Falls back to an inline loop
     when no pool is available.  Ordinary exceptions raised *by* ``fn``
     propagate unchanged — supervision never retries a deterministic
     task error, which would mask a real bug.
@@ -455,12 +450,12 @@ def _forced_method() -> str | None:
     if not raw:
         return None
     value = raw.strip().lower()
-    if value in ("shm", "pickle", "serial"):
+    if value in ("shm", "serial"):
         return value
     if raw not in _WARNED_FORCE:
         _WARNED_FORCE.add(raw)
         warnings.warn(
-            f"{FORCE_METHOD_ENV}={raw!r} is not one of shm/pickle/serial; "
+            f"{FORCE_METHOD_ENV}={raw!r} is not one of shm/serial; "
             "ignoring it", RuntimeWarning, stacklevel=3)
     return None
 

@@ -1,32 +1,22 @@
-"""Zero-copy shared-memory substrate for fleet-scale fan-out.
+"""Zero-copy shared-memory substrate for the Monte-Carlo band fan-out.
 
-The column-chunk fan-out pickles numpy slices per task — fine at
-n=500, where process dispatch is a wash anyway, but at 10⁴–10⁶
-systems the serialization dominates the arithmetic it parallelizes.
-This module removes the copies:
-
-* :class:`SharedArrayPack` places any named set of numpy arrays into
-  **one** ``multiprocessing.shared_memory`` segment (64-byte aligned
-  offsets); the picklable :class:`PackHandle` that describes it is a
-  few hundred bytes, so a task payload costs the same at n=500 and
-  n=500 000.  Workers :func:`attach` zero-copy views (cached per
-  process, so a persistent pool attaches each segment once).
-* :class:`SharedFleetFrame` is the pack specialized to a
-  :class:`~repro.core.vectorized.FleetFrame`: every column in shared
-  memory, the small dictionary-encoding lookup tables riding along in
-  the handle.  :func:`shared_fleet_frame` keeps a small owner-side
-  pool of them keyed by frame identity, so repeated batch calls and
-  scenario sweeps over one fleet place the columns exactly once.
+Pickling a band stack's value/uncertainty arrays into every task would
+cost more than the draws it parallelizes.  :class:`SharedArrayPack`
+places any named set of numpy arrays into **one**
+``multiprocessing.shared_memory`` segment (64-byte aligned offsets);
+the picklable :class:`PackHandle` that describes it is a few hundred
+bytes, so a task payload costs the same whatever the stack size.
+Workers :func:`attach` zero-copy views (cached per process, so a
+persistent pool attaches each segment once).
 
 Lifecycle discipline (asserted by ``tests/parallel/test_shm.py``):
 
 * every segment this process creates is recorded in an owner registry
   until unlinked — :func:`live_owned_segments` exposes it so tests can
   assert leak-freedom after exceptions;
-* per-call packs are unlinked in ``finally`` by their callers; pooled
-  frame segments are released by :func:`release_shared_frames` and by
-  an atexit hook (PID-guarded, so forked workers never unlink their
-  parent's segments);
+* per-call packs are unlinked in ``finally`` by their callers, and an
+  atexit hook unlinks anything left (PID-guarded, so forked workers
+  never unlink their parent's segments);
 * worker-side attachments are unregistered from the process's
   ``resource_tracker`` — the owner is the single tracker of record,
   which avoids both premature unlinks (spawn-start workers) and
@@ -64,15 +54,10 @@ from repro.parallel import faults
 __all__ = [
     "ArraySpec",
     "PackHandle",
-    "FrameHandle",
     "SharedArrayPack",
-    "SharedFleetFrame",
     "attach",
-    "attach_frame",
     "shm_available",
     "live_owned_segments",
-    "shared_fleet_frame",
-    "release_shared_frames",
     "registry_path",
     "sweep_orphaned_segments",
 ]
@@ -295,105 +280,7 @@ def attach(handle: PackHandle) -> dict[str, np.ndarray]:
     return _views(segment.buf, specs, readonly)
 
 
-# ---------------------------------------------------------------------------
-# SharedFleetFrame: a FleetFrame's columns in shared memory
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FrameHandle:
-    """Picklable description of a shared frame: pack + lookup tables."""
-
-    pack: PackHandle
-    n: int
-    locations: tuple
-    processors: tuple[str, ...]
-    accelerators: tuple[str, ...]
-    memory_types: tuple
-
-
-class SharedFleetFrame:
-    """One fleet's columns placed in shared memory, owner side.
-
-    Holds a strong reference to the source frame: the owner pool is
-    keyed by frame identity, and pinning the frame both guarantees the
-    key stays valid and keeps the scalar-fallback records reachable.
-    """
-
-    def __init__(self, frame, pack: SharedArrayPack,
-                 handle: FrameHandle) -> None:
-        self.frame = frame
-        self._pack = pack
-        self.handle = handle
-
-    @classmethod
-    def create(cls, frame) -> "SharedFleetFrame":
-        pack = SharedArrayPack.create(frame.column_arrays(), readonly=True)
-        handle = FrameHandle(
-            pack=pack.handle, n=frame.n, locations=frame.locations,
-            processors=frame.processors, accelerators=frame.accelerators,
-            memory_types=frame.memory_types)
-        return cls(frame, pack, handle)
-
-    def unlink(self) -> None:
-        self._pack.unlink()
-
-
-def attach_frame(handle: FrameHandle, records=None):
-    """Worker-side :class:`~repro.core.vectorized.FleetFrame` over a
-    shared frame's columns.
-
-    The segment attachment is cached per process; the (cheap) frame
-    object is rebuilt per call so each task can carry its own sparse
-    ``records`` (only the scalar-fallback records cross the process
-    boundary — everything else reads ``None``).
-    """
-    from repro.core.vectorized import FleetFrame
-
-    columns = attach(handle.pack)
-    return FleetFrame.from_columns(
-        columns, locations=handle.locations, processors=handle.processors,
-        accelerators=handle.accelerators, memory_types=handle.memory_types,
-        records=records)
-
-
-# ---------------------------------------------------------------------------
-# Owner-side frame pool
-# ---------------------------------------------------------------------------
-
-_FRAME_POOL: "OrderedDict[tuple[int, int], SharedFleetFrame]" = OrderedDict()
-_FRAME_POOL_MAX = 4
-
-
-def shared_fleet_frame(frame) -> SharedFleetFrame:
-    """The (pooled) shared-memory placement of ``frame``.
-
-    Keyed by frame identity per owning PID; the pool holds at most
-    ``_FRAME_POOL_MAX`` frames, unlinking evictions.  Columns are
-    copied into shared memory exactly once per pooled frame however
-    many batch calls and sweeps attach to it.
-    """
-    key = (os.getpid(), id(frame))
-    shared = _FRAME_POOL.get(key)
-    if shared is not None:
-        _FRAME_POOL.move_to_end(key)
-        return shared
-    shared = SharedFleetFrame.create(frame)
-    _FRAME_POOL[key] = shared
-    while len(_FRAME_POOL) > _FRAME_POOL_MAX:
-        _, evicted = _FRAME_POOL.popitem(last=False)
-        evicted.unlink()
-    return shared
-
-
-def release_shared_frames() -> None:
-    """Unlink every pooled frame owned by this process."""
-    pid = os.getpid()
-    for key in [k for k in _FRAME_POOL if k[0] == pid]:
-        _FRAME_POOL.pop(key).unlink()
-
-
 def _cleanup_at_exit() -> None:
-    release_shared_frames()
     pid = os.getpid()
     for name, (segment, owner) in list(_OWNED.items()):
         if owner != pid:

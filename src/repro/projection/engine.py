@@ -666,15 +666,12 @@ def project_sweep(records: Sequence[SystemRecord],
                   turnover: TurnoverModel | None = None,
                   operational_model: OperationalModel | None = None,
                   embodied_model: EmbodiedModel | None = None,
-                  frame: FleetFrame | None = None,
-                  parallel: str | None = None,
-                  max_workers: int | None = None) -> ProjectionCube:
+                  frame: FleetFrame | None = None) -> ProjectionCube:
     """Project a scenario grid over a fleet along a year axis.
 
     The temporal sweep entry point: one base
-    :func:`~repro.scenarios.sweep` over the cached frame (serial or
-    ``parallel="scenario-block"`` over the shared-memory pool —
-    bit-identical either way), then per-scenario year factors.
+    :func:`~repro.scenarios.sweep` over the cached frame, then
+    per-scenario year factors.
 
     Args:
         records: the fleet.
@@ -697,12 +694,6 @@ def project_sweep(records: Sequence[SystemRecord],
         operational_model / embodied_model: base models the specs
             override (paper defaults when omitted).
         frame: pre-extracted frame (defaults to the cached one).
-        parallel / max_workers: forwarded to the base sweep
-            (``"scenario-block"`` fans scenario blocks over the
-            persistent shm pool via the supervised dispatcher —
-            worker crashes and hangs are retried, repeated failures
-            degrade to the serial kernel, output bit-identical on
-            every path).
 
     Returns:
         A :class:`ProjectionCube`; the paper-defaults scenario's
@@ -722,8 +713,7 @@ def project_sweep(records: Sequence[SystemRecord],
         base = sweep(records, base_specs,
                      operational_model=operational_model,
                      embodied_model=embodied_model,
-                     frame=frame, parallel=parallel,
-                     max_workers=max_workers)
+                     frame=frame)
         with obs.span("project.factors", n_scenarios=len(specs),
                       n_years=len(years)):
             op_f, emb_f, refresh_rows, respend = _factor_tables(

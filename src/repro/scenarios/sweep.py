@@ -62,9 +62,7 @@ def sweep(records: Sequence[SystemRecord],
           specs: "Iterable[ScenarioSpec] | ScenarioGrid", *,
           operational_model: OperationalModel | None = None,
           embodied_model: EmbodiedModel | None = None,
-          frame: FleetFrame | None = None,
-          parallel: str | None = None,
-          max_workers: int | None = None) -> ScenarioCube:
+          frame: FleetFrame | None = None) -> ScenarioCube:
     """Evaluate a scenario grid over a fleet as one 2-D kernel.
 
     Args:
@@ -74,19 +72,13 @@ def sweep(records: Sequence[SystemRecord],
             specs override (paper defaults when omitted).
         frame: pre-extracted frame (defaults to the identity-keyed
             :func:`~repro.core.vectorized.fleet_frame` cache).
-        parallel: ``None``/``"serial"`` evaluates in-process;
-            ``"scenario-block"`` fans contiguous scenario blocks out
-            over the persistent worker pool, each worker attaching the
-            fleet's shared-memory frame zero-copy and writing its rows
-            into shared output arrays.  Falls back to the serial
-            kernel (identical results) when shared memory or process
-            spawning is unavailable or the grid is too small to split.
-        max_workers: worker count for the scenario-block path.
 
     Returns:
         A :class:`~repro.scenarios.ScenarioCube`, every row of which is
         bit-identical to :func:`sweep_scalar_reference` on the same
-        inputs — whichever ``parallel`` path produced it.
+        inputs.  The kernel runs in-process: fanning scenario blocks
+        out over worker processes measured slower than it at every
+        recorded grid size (``docs/performance.md``).
     """
     specs = _as_specs(specs)
     base_op = operational_model or OperationalModel()
@@ -96,41 +88,17 @@ def sweep(records: Sequence[SystemRecord],
         frame = fleet_frame(records)
     if frame.n != len(records):
         raise ValueError("frame/records length mismatch")
-    if parallel not in (None, "serial", "scenario-block"):
-        raise ValueError(f"unknown parallel mode {parallel!r}; expected "
-                         "None, 'serial' or 'scenario-block'")
 
     with obs.span("sweep.kernel", n_scenarios=len(specs),
-                  n_systems=frame.n, parallel=parallel or "serial"):
-        if parallel == "scenario-block":
-            from repro.parallel import resilience
-            # The supervised ladder: the shm rung declines (None) when
-            # the substrate is unavailable and *fails* on crashes that
-            # survive the dispatcher's retries — either way the serial
-            # 2-D kernel finishes the sweep with bit-identical rows.
-            return resilience.run_ladder(
-                (("shm", lambda: _sweep_scenario_block(
-                    frame, specs, base_op, base_emb,
-                    max_workers=max_workers)),
-                 ("serial", lambda: _sweep_serial(
-                     frame, specs, base_op, base_emb))),
-                label="scenario-sweep")
-
-        return _sweep_serial(frame, specs, base_op, base_emb)
-
-
-def _sweep_serial(frame: FleetFrame, specs: tuple[ScenarioSpec, ...],
-                  base_op: OperationalModel,
-                  base_emb: EmbodiedModel) -> ScenarioCube:
-    """The in-process 2-D kernel — the ladder's always-available floor."""
-    op_models = tuple(spec.operational_model(base_op) for spec in specs)
-    emb_models = tuple(spec.embodied_model(base_emb) for spec in specs)
-    with obs.span("sweep.operational", n_scenarios=len(specs),
                   n_systems=frame.n):
-        op_values, op_unc = _operational_sweep(frame, op_models)
-    with obs.span("sweep.embodied", n_scenarios=len(specs),
-                  n_systems=frame.n):
-        emb_values, emb_unc = _embodied_sweep(frame, emb_models)
+        op_models = tuple(spec.operational_model(base_op) for spec in specs)
+        emb_models = tuple(spec.embodied_model(base_emb) for spec in specs)
+        with obs.span("sweep.operational", n_scenarios=len(specs),
+                      n_systems=frame.n):
+            op_values, op_unc = _operational_sweep(frame, op_models)
+        with obs.span("sweep.embodied", n_scenarios=len(specs),
+                      n_systems=frame.n):
+            emb_values, emb_unc = _embodied_sweep(frame, emb_models)
     return ScenarioCube(
         specs=specs,
         ranks=tuple(int(r) for r in frame.ranks),
@@ -145,126 +113,6 @@ def _lifetimes(specs: Sequence[ScenarioSpec]) -> np.ndarray:
     return np.array([
         spec.lifetime_years if spec.lifetime_years is not None else 1.0
         for spec in specs])
-
-
-# ---------------------------------------------------------------------------
-# Scenario-block fan-out over the shared-memory pool
-# ---------------------------------------------------------------------------
-
-def _scenario_block_worker(task: tuple) -> None:
-    """Pool-worker body: evaluate one contiguous block of scenarios.
-
-    Attaches the shared frame zero-copy, lowers its block of specs
-    against the (pickled-once-per-task) base models, runs the same 2-D
-    kernels the serial path uses, and writes its rows straight into
-    the shared output matrices.  Per-scenario computations are
-    independent, and dedupe/grouping inside a block only *shares*
-    work, so block boundaries cannot change a single bit of output.
-    """
-    (handle, out_handle, s0, s1, block_specs, base_op, base_emb,
-     fallback) = task
-    from repro.parallel import shm as shm_mod
-
-    with obs.span("sweep.scenario_block", s0=s0, s1=s1,
-                  n_systems=handle.n):
-        frame = shm_mod.attach_frame(
-            handle, records=vz.SparseRecords(handle.n, dict(fallback)))
-        op_models = tuple(spec.operational_model(base_op)
-                          for spec in block_specs)
-        emb_models = tuple(spec.embodied_model(base_emb)
-                           for spec in block_specs)
-        op_values, op_unc = _operational_sweep(frame, op_models)
-        emb_values, emb_unc = _embodied_sweep(frame, emb_models)
-        out = shm_mod.attach(out_handle)
-        out["op_mt"][s0:s1] = op_values
-        out["op_unc"][s0:s1] = op_unc
-        out["emb_mt"][s0:s1] = emb_values
-        out["emb_unc"][s0:s1] = emb_unc
-
-
-def _sweep_scenario_block(frame: FleetFrame,
-                          specs: tuple[ScenarioSpec, ...],
-                          base_op: OperationalModel,
-                          base_emb: EmbodiedModel, *,
-                          max_workers: int | None,
-                          blocks_per_worker: int = 1,
-                          ) -> ScenarioCube | None:
-    """The ``parallel="scenario-block"`` path; ``None`` = use serial.
-
-    The parent pre-computes which records could ever reach a scalar
-    fallback under this grid (component-path records for operational;
-    the embodied partition of each *unique* lowered model) and ships
-    exactly those with every task — the frame's columns travel as one
-    shared-memory handle.
-    """
-    import os
-
-    from repro.parallel import pool as pool_mod
-    from repro.parallel import shm as shm_mod
-    from repro.parallel.chunking import chunk_indices
-
-    n_scen, n = len(specs), frame.n
-    if n_scen < 2 or not shm_mod.shm_available() \
-            or not pool_mod.pool_available(max_workers):
-        return None
-
-    # Scalar-fallback closure over the whole grid: the exact union of
-    # every unique lowered model's fallback partition (the workers
-    # recompute the same value-deterministic partitions, so no record
-    # outside this union is ever indexed).
-    fallback_mask = np.zeros(n, dtype=bool)
-    seen_op: set = set()
-    seen_emb: set = set()
-    for spec in specs:
-        op_model = spec.operational_model(base_op)
-        # The operational partition depends only on the catalog and on
-        # whether the default utilization is in the scalar domain —
-        # the same grouping key the serial kernel's masked scatter uses.
-        op_key = (id(op_model.catalog),
-                  0.0 <= op_model.component_utilization <= 1.5)
-        if op_key not in seen_op:
-            seen_op.add(op_key)
-            fallback_mask |= vz._operational_fallback_mask(frame, op_model)
-        emb_model = spec.embodied_model(base_emb)
-        emb_key = (id(emb_model.catalog), emb_model.fab_yield)
-        if emb_key not in seen_emb:
-            seen_emb.add(emb_key)
-            fallback_mask |= vz._embodied_fallback_mask(frame, emb_model)
-    fallback = tuple((int(i), frame.records[i])
-                     for i in np.flatnonzero(fallback_mask))
-
-    workers = max_workers or os.cpu_count() or 1
-    shared = shm_mod.shared_fleet_frame(frame)
-    out_pack = shm_mod.SharedArrayPack.create({
-        "op_mt": np.full((n_scen, n), np.nan),
-        "op_unc": np.full((n_scen, n), np.nan),
-        "emb_mt": np.full((n_scen, n), np.nan),
-        "emb_unc": np.full((n_scen, n), np.nan),
-    })
-    try:
-        tasks = [
-            (shared.handle, out_pack.handle, s0, s1, specs[s0:s1],
-             base_op, base_emb, fallback)
-            for s0, s1 in chunk_indices(
-                n_scen, max(workers * blocks_per_worker, 1))]
-        from repro.parallel import resilience
-        resilience.supervised_map(_scenario_block_worker, tasks,
-                                  max_workers=max_workers,
-                                  label="scenario-sweep")
-        out = out_pack.arrays()
-        cube = ScenarioCube(
-            specs=specs,
-            ranks=tuple(int(r) for r in frame.ranks),
-            names=frame.names,
-            operational_mt=np.array(out["op_mt"]),
-            operational_unc=np.array(out["op_unc"]),
-            embodied_mt=np.array(out["emb_mt"]),
-            embodied_unc=np.array(out["emb_unc"]),
-            lifetime_years=_lifetimes(specs),
-        )
-    finally:
-        out_pack.unlink()
-    return cube
 
 
 # ---------------------------------------------------------------------------

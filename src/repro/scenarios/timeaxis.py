@@ -560,15 +560,11 @@ def shift_sweep(records: Sequence[SystemRecord],
                 profile: IntensitySeries | None = None,
                 operational_model: OperationalModel | None = None,
                 embodied_model: EmbodiedModel | None = None,
-                frame: FleetFrame | None = None,
-                parallel: str | None = None,
-                max_workers: int | None = None) -> ShiftCube:
+                frame: FleetFrame | None = None) -> ShiftCube:
     """Sweep a scenario grid over a fleet along an hour-window axis.
 
     The time-of-day entry point: one base
-    :func:`~repro.scenarios.sweep` over the cached frame (serial or
-    ``parallel="scenario-block"`` over the shared-memory pool via the
-    supervised dispatcher — bit-identical either way), then
+    :func:`~repro.scenarios.sweep` over the cached frame, then
     per-scenario window factors.
 
     Args:
@@ -584,8 +580,8 @@ def shift_sweep(records: Sequence[SystemRecord],
             ``hour_profile``.  ``None`` (the paper default) is flat:
             every factor is exactly 1.0 and the cube reproduces the
             atemporal sweep bit-identically.
-        operational_model / embodied_model / frame /
-        parallel / max_workers: forwarded to the base sweep.
+        operational_model / embodied_model / frame: forwarded to the
+            base sweep.
 
     Returns:
         A :class:`ShiftCube`, bit-identical to
@@ -599,8 +595,7 @@ def shift_sweep(records: Sequence[SystemRecord],
         base = sweep(records, base_specs,
                      operational_model=operational_model,
                      embodied_model=embodied_model,
-                     frame=frame, parallel=parallel,
-                     max_workers=max_workers)
+                     frame=frame)
         with obs.span("shift.factors", n_scenarios=len(specs),
                       n_windows=len(windows)):
             table = _hour_factor_table(specs, windows, profile)

@@ -2,7 +2,7 @@
 
 ``repro serve`` keeps the expensive state of an assessment — fleet
 records, their extracted :class:`~repro.core.vectorized.FleetFrame`\\ s,
-the spawned worker pool, recent results — warm across requests, so the
+recent results — warm across requests, so the
 cost structure the library amortizes within one Python lifetime
 amortizes across *clients*.  The HTTP layer stays stdlib-asyncio but
 speaks real HTTP/1.1: **persistent connections** (a bounded

@@ -358,7 +358,9 @@ def evaluate_group(records, parsed_list, *, serial_only: bool,
     request, each computed from that request's own row slice — the
     serial reference for request *i* is this same function called with
     ``[parsed_list[i]]``, which is exactly what the coalescing
-    bit-identity tests assert.
+    bit-identity tests assert.  The sweep always runs in-process;
+    ``serial_only`` pins the daemon's one fan-out, the Monte-Carlo
+    band stack, to its serial kernel (byte-identical bands).
     """
     from repro.scenarios import sweep
 
@@ -377,16 +379,17 @@ def evaluate_group(records, parsed_list, *, serial_only: bool,
         specs_all.extend(specs)
 
     check_budget()
-    cube = sweep(list(records), tuple(specs_all),
-                 parallel=None if serial_only else "scenario-block")
+    cube = sweep(list(records), tuple(specs_all))
+    band_method = "serial" if serial_only else "auto"
     payloads = []
     for parsed, sl in zip(parsed_list, slices):
         check_budget()
-        payloads.append(_payload(parsed, cube, sl))
+        payloads.append(_payload(parsed, cube, sl, band_method))
     return payloads
 
 
-def _payload(parsed: ParsedRequest, cube, sl: slice) -> str:
+def _payload(parsed: ParsedRequest, cube, sl: slice,
+             band_method: str) -> str:
     """One request's response body from its rows of the batched cube."""
     n_systems = cube.n_systems
     body: dict[str, Any] = {
@@ -421,7 +424,8 @@ def _payload(parsed: ParsedRequest, cube, sl: slice) -> str:
         # over this request's row slice is bit-identical to the stack
         # a lone request would draw, whatever the batch looked like.
         stack = mc_band_stack(values, cube.uncertainty(parsed.footprint)[sl],
-                              n_samples=parsed.n_samples, seed=parsed.seed)
+                              n_samples=parsed.n_samples, seed=parsed.seed,
+                              method=band_method)
         body["n_samples"] = parsed.n_samples
         body["seed"] = parsed.seed
         for i, row in enumerate(rows):

@@ -161,9 +161,9 @@ class WarmState:
     def invalidate(self, key: "str | None" = None) -> None:
         """Drop warm records (one fleet, or everything).
 
-        Called after infrastructure failures that could have left the
-        frame cache referencing shared segments of a killed pool; the
-        next request triggers exactly one rebuild (single-flight).
+        Called after infrastructure failures, so no request keeps
+        serving state built before the failure; the next request
+        triggers exactly one rebuild (single-flight).
         """
         if key is None:
             self._fleets.clear()

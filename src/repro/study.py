@@ -151,9 +151,7 @@ class StudyResult:
 
     def project_sweep(self, specs=None, *, years=None, end_year=None,
                       data_scenario: str = "public",
-                      use_turnover: bool = False,
-                      parallel: str | None = None,
-                      max_workers: int | None = None):
+                      use_turnover: bool = False):
         """Temporal projection of this study's fleet (Fig. 10, per record).
 
         Lowers a scenario grid × a year axis onto the study's cached
@@ -173,8 +171,6 @@ class StudyResult:
             use_turnover: derive default growth rates from this
                 study's measured :attr:`turnover` model instead of the
                 paper's constants.
-            parallel / max_workers: forwarded to the base sweep
-                (``"scenario-block"`` fans over the shm pool).
         """
         from repro.projection import project_sweep
         if data_scenario == "public":
@@ -188,8 +184,7 @@ class StudyResult:
             records, specs, years=years, end_year=end_year,
             turnover=self.turnover if use_turnover else None,
             operational_model=self.easyc.operational_model,
-            embodied_model=self.easyc.embodied_model,
-            parallel=parallel, max_workers=max_workers)
+            embodied_model=self.easyc.embodied_model)
 
     def perf_carbon(self, footprint: str) -> PerfCarbonProjection:
         from repro.projection.perf_carbon import perf_carbon_projection

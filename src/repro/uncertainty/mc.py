@@ -77,8 +77,7 @@ _Z90 = 1.645
 #: ``method="auto"`` takes the pool only past this many scalar draws
 #: (cells × samples × mean covered count): below it, dispatch overhead
 #: beats the arithmetic it would parallelize.  ``REPRO_MC_SHM_MIN_DRAWS``
-#: overrides per host (same spirit as ``REPRO_SHM_MIN_N`` for the batch
-#: fan-out crossover in :mod:`repro.parallel.tuning`).
+#: overrides per host.
 _SHM_MIN_DRAWS = 16_000_000
 
 #: Environment override for :data:`_SHM_MIN_DRAWS`.

@@ -69,17 +69,6 @@ class TestAssessFleet:
         assessments = easyc.assess_fleet(records)
         assert [a.rank for a in assessments] == [r.rank for r in records]
 
-    def test_parallel_matches_serial(self, easyc, dataset):
-        records = dataset.baseline_records()[:120]
-        serial = easyc.assess_fleet(records)
-        parallel = easyc.assess_fleet(records, parallel=True, max_workers=2)
-        for s, p in zip(serial, parallel):
-            assert s.rank == p.rank
-            assert (s.operational is None) == (p.operational is None)
-            if s.operational is not None:
-                assert s.operational.value_mt == \
-                    pytest.approx(p.operational.value_mt)
-
 
 class TestCoverageCheckConsistency:
     def test_predicate_agrees_with_models(self, easyc, dataset):

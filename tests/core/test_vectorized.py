@@ -16,8 +16,6 @@ from repro.core.vectorized import (
     fleet_to_arrays,
     fleet_total_mt,
     operational_batch,
-    parallel_batch_embodied_mt,
-    parallel_batch_operational_mt,
 )
 from repro.errors import InsufficientDataError, UnknownDeviceError
 from repro.hardware.catalog import DEFAULT_CATALOG, UnknownDevicePolicy
@@ -121,13 +119,6 @@ class TestFleetFrame:
     def test_distinct_fleets_get_distinct_frames(self, dataset):
         records = dataset.public_records()
         assert fleet_frame(records[:20]) is not fleet_frame(records[:30])
-
-    def test_slice_shares_tables(self, dataset):
-        frame = fleet_frame(dataset.public_records())
-        part = frame.slice(100, 200)
-        assert part.n == 100
-        assert part.processors == frame.processors
-        assert list(part.ranks) == list(frame.ranks[100:200])
 
     def test_length_mismatch_rejected_for_frame(self, dataset):
         records = dataset.public_records()
@@ -265,58 +256,6 @@ class TestComponentPathVectorized:
         with pytest.raises(ValueError):
             batch_operational_mt(records, bad,
                                  frame=FleetFrame.from_records(records))
-
-
-class TestParallelEmbodiedColumnChunks:
-    def test_matches_serial(self, dataset):
-        records = dataset.public_records()
-        serial = batch_embodied_mt(records)
-        parallel = parallel_batch_embodied_mt(records, max_workers=2)
-        both_nan = np.isnan(serial) & np.isnan(parallel)
-        assert np.all(both_nan | (serial == parallel))
-
-    def test_single_worker(self, dataset):
-        records = dataset.public_records()[:40]
-        frame = FleetFrame.from_records(records)
-        serial = batch_embodied_mt(records, frame=frame)
-        parallel = parallel_batch_embodied_mt(records, frame=frame,
-                                              max_workers=1)
-        both_nan = np.isnan(serial) & np.isnan(parallel)
-        assert np.all(both_nan | (serial == parallel))
-
-    def test_custom_model_factors_ship_to_workers(self, dataset):
-        records = dataset.public_records()[:60]
-        frame = FleetFrame.from_records(records)
-        model = EmbodiedModel(fab_yield=0.7)
-        serial = batch_embodied_mt(records, model, frame=frame)
-        parallel = parallel_batch_embodied_mt(records, model, frame=frame,
-                                              max_workers=1)
-        both_nan = np.isnan(serial) & np.isnan(parallel)
-        assert np.all(both_nan | (serial == parallel))
-
-    def test_empty_fleet(self):
-        assert parallel_batch_embodied_mt([], max_workers=2).size == 0
-
-
-class TestParallelColumnChunks:
-    def test_matches_serial(self, dataset):
-        records = dataset.public_records()
-        serial = batch_operational_mt(records)
-        parallel = parallel_batch_operational_mt(records, max_workers=2)
-        both_nan = np.isnan(serial) & np.isnan(parallel)
-        assert np.all(both_nan | (serial == parallel))
-
-    def test_single_worker(self, dataset):
-        records = dataset.public_records()[:40]
-        frame = FleetFrame.from_records(records)
-        serial = batch_operational_mt(records, frame=frame)
-        parallel = parallel_batch_operational_mt(records, frame=frame,
-                                                 max_workers=1)
-        both_nan = np.isnan(serial) & np.isnan(parallel)
-        assert np.all(both_nan | (serial == parallel))
-
-    def test_empty_fleet(self):
-        assert parallel_batch_operational_mt([], max_workers=2).size == 0
 
 
 class TestSpeed:

@@ -4,10 +4,10 @@ Every recovery path the resilience layer promises is driven end-to-end
 here through real worker processes: killed workers (``kill@block``),
 hung workers against the per-block deadline (``hang@block``), shm
 attach failures (``raise@attach``) and segment-creation failures
-(``fail@segment-create``) — each against the real callers (the
-64-scenario sweep, the projection cube, the Monte-Carlo band stack,
-the fleet batch evaluator), each required to finish **bit-identical**
-to the serial path with every shared-memory segment accounted for.
+(``fail@segment-create``) — each against the one real fan-out, the
+Monte-Carlo band stack (directly and underneath the serving daemon),
+each required to finish **bit-identical** to the serial path with every
+shared-memory segment accounted for.
 
 The autouse fixture clears ``REPRO_FAULT_SPEC`` so each test controls
 its own plan; ``test_ambient_fault_spec`` re-applies whatever spec the
@@ -30,13 +30,11 @@ import numpy as np
 import pytest
 
 from repro import scenarios
-from repro.core.vectorized import fleet_batch_arrays, fleet_frame
 from repro.parallel import faults, resilience
 from repro.parallel import pool as pool_mod
 from repro.parallel import shm as shm_mod
 from repro.parallel.faults import FaultPlan, FaultRule, InjectedFault
 from repro.parallel.shm import SharedArrayPack, live_owned_segments
-from repro.projection import project_sweep
 from repro.scenarios import sweep
 from repro.uncertainty import mc
 
@@ -58,7 +56,6 @@ def _clean_parallel_state(monkeypatch):
     monkeypatch.setenv(resilience.BACKOFF_ENV, "0.01")
     yield
     pool_mod.shutdown_pool()
-    shm_mod.release_shared_frames()
     resilience.reset_ladder_state()
 
 
@@ -167,101 +164,19 @@ class TestFire:
 # Chaos: the real callers under injected faults
 # ---------------------------------------------------------------------------
 
-def _grid64():
-    return scenarios.ScenarioGrid.cartesian(
-        scenarios.aci_scale_axis(tuple(1.0 - 0.02 * i for i in range(8))),
-        scenarios.pue_axis(tuple(1.0 + 0.05 * i for i in range(8))),
+def _band_stack(study):
+    """A small real value/uncertainty stack for the band fan-out."""
+    grid = scenarios.ScenarioGrid.cartesian(
+        scenarios.aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
+        scenarios.pue_axis((1.0, 1.15)),
     )
-
-
-def _assert_cubes_identical(left, right):
-    for field in ("operational_mt", "operational_unc",
-                  "embodied_mt", "embodied_unc"):
-        assert np.array_equal(getattr(left, field), getattr(right, field),
-                              equal_nan=True), field
+    cube = sweep(list(study.public_records), grid)
+    return cube.operational_mt, cube.operational_unc
 
 
 def _assert_drained():
-    shm_mod.release_shared_frames()
     assert live_owned_segments() == ()
     assert shm_mod.sweep_orphaned_segments() == ()
-
-
-class TestChaosSweep:
-    """The 64-scenario sweep completes bit-identical under each fault."""
-
-    @pytest.fixture()
-    def records(self, study):
-        return list(study.public_records)
-
-    def test_sweep_survives_killed_worker(self, records, monkeypatch):
-        if not _pool_ready():
-            pytest.skip("cannot spawn worker processes")
-        grid = _grid64()
-        serial = sweep(records, grid)
-        _inject(monkeypatch, "kill@block=0")
-        chaos = sweep(records, grid, parallel="scenario-block",
-                      max_workers=WORKERS)
-        _assert_cubes_identical(serial, chaos)
-        _assert_drained()
-
-    def test_sweep_survives_hung_worker(self, records, monkeypatch):
-        if not _pool_ready():
-            pytest.skip("cannot spawn worker processes")
-        grid = _grid64()
-        serial = sweep(records, grid)
-        _inject(monkeypatch, "hang@block=0:30s")
-        monkeypatch.setenv(resilience.TIMEOUT_ENV, "1.5")
-        started = time.perf_counter()
-        chaos = sweep(records, grid, parallel="scenario-block",
-                      max_workers=WORKERS)
-        # The deadline, not the 30s hang, bounded the wall clock.
-        assert time.perf_counter() - started < 20.0
-        _assert_cubes_identical(serial, chaos)
-        _assert_drained()
-
-    def test_sweep_survives_attach_failure(self, records, monkeypatch):
-        if not _pool_ready():
-            pytest.skip("cannot spawn worker processes")
-        grid = _grid64()
-        serial = sweep(records, grid)
-        _inject(monkeypatch, "raise@attach")
-        chaos = sweep(records, grid, parallel="scenario-block",
-                      max_workers=WORKERS)
-        _assert_cubes_identical(serial, chaos)
-        _assert_drained()
-
-    def test_sweep_survives_segment_create_failure(self, records,
-                                                   monkeypatch):
-        grid = _grid64()
-        serial = sweep(records, grid)
-        _inject(monkeypatch, "fail@segment-create")
-        chaos = sweep(records, grid, parallel="scenario-block",
-                      max_workers=WORKERS)
-        _assert_cubes_identical(serial, chaos)
-        _assert_drained()
-
-
-class TestChaosProjection:
-    def test_projection_cube_survives_killed_worker(self, study,
-                                                    monkeypatch):
-        if not _pool_ready():
-            pytest.skip("cannot spawn worker processes")
-        records = list(study.public_records)
-        grid = scenarios.ScenarioGrid.cartesian(
-            scenarios.aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
-            scenarios.pue_axis((1.0, 1.1, 1.2, 1.3)),
-        )
-        serial = project_sweep(records, grid)
-        _inject(monkeypatch, "kill@block=0")
-        chaos = project_sweep(records, grid, parallel="scenario-block",
-                              max_workers=WORKERS)
-        assert chaos.years == serial.years
-        _assert_cubes_identical(serial.base, chaos.base)
-        for footprint in ("operational", "embodied"):
-            assert np.array_equal(serial.values(footprint),
-                                  chaos.values(footprint), equal_nan=True)
-        _assert_drained()
 
 
 class TestChaosMcBands:
@@ -307,20 +222,20 @@ class TestChaosMcBands:
         assert chaos == serial
         _assert_drained()
 
-
-class TestChaosFleetBatch:
-    def test_fleet_batch_survives_killed_worker(self, study, monkeypatch):
+    def test_bands_survive_hung_worker(self, study, monkeypatch):
         if not _pool_ready():
             pytest.skip("cannot spawn worker processes")
-        records = list(study.public_records)
-        frame = fleet_frame(records)
-        serial = fleet_batch_arrays(records, frame=frame, parallel="never")
-        _inject(monkeypatch, "kill@block=0")
-        chaos = fleet_batch_arrays(records, frame=frame, parallel="shm",
-                                   max_workers=WORKERS)
-        for field in ("op_mt", "op_unc", "emb_mt", "emb_unc"):
-            assert np.array_equal(getattr(serial, field),
-                                  getattr(chaos, field), equal_nan=True)
+        values, unc = self._stack(study)
+        serial = mc.mc_band_stack(values, unc, n_samples=200,
+                                  method="serial")
+        _inject(monkeypatch, "hang@block=0:30s")
+        monkeypatch.setenv(resilience.TIMEOUT_ENV, "1.5")
+        started = time.perf_counter()
+        chaos = mc.mc_band_stack(values, unc, n_samples=200, method="shm",
+                                 max_workers=WORKERS)
+        # The deadline, not the 30s hang, bounded the wall clock.
+        assert time.perf_counter() - started < 20.0
+        assert chaos == serial
         _assert_drained()
 
 
@@ -334,16 +249,7 @@ class TestAmbientSpec:
             _inject(monkeypatch, _AMBIENT_SPEC)
         # Hang specs must meet a short deadline, not the 600s default.
         monkeypatch.setenv(resilience.TIMEOUT_ENV, "2")
-        records = list(study.public_records)
-        grid = scenarios.ScenarioGrid.cartesian(
-            scenarios.aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
-            scenarios.pue_axis((1.0, 1.15)),
-        )
-        serial = sweep(records, grid)
-        chaos = sweep(records, grid, parallel="scenario-block",
-                      max_workers=WORKERS)
-        _assert_cubes_identical(serial, chaos)
-        values, unc = serial.operational_mt, serial.operational_unc
+        values, unc = _band_stack(study)
         bands_serial = mc.mc_band_stack(values, unc, n_samples=150,
                                         method="serial")
         bands_chaos = mc.mc_band_stack(values, unc, n_samples=150,
@@ -365,12 +271,10 @@ class TestChaosTracing:
 
     def test_traced_chaos_bit_identical_under_ambient_spec(
             self, study, monkeypatch, tmp_path):
-        records = list(study.public_records)
-        grid = scenarios.ScenarioGrid.cartesian(
-            scenarios.aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
-            scenarios.pue_axis((1.0, 1.15)),
-        )
-        serial = sweep(records, grid)        # untraced serial reference
+        values, unc = _band_stack(study)
+        # The untraced serial reference.
+        serial = mc.mc_band_stack(values, unc, n_samples=150,
+                                  method="serial")
         if _AMBIENT_SPEC:
             if not _pool_ready():
                 pytest.skip("cannot spawn worker processes")
@@ -380,15 +284,14 @@ class TestChaosTracing:
         trace_path = tmp_path / "trace.jsonl"
         monkeypatch.setenv(obs.TRACE_ENV, str(trace_path))
         with obs.capture() as trace:
-            traced = sweep(records, grid, parallel="scenario-block",
-                           max_workers=WORKERS)
-        _assert_cubes_identical(serial, traced)
-        assert (serial.operational_mt.tobytes()
-                == traced.operational_mt.tobytes())
-        assert (serial.embodied_mt.tobytes()
-                == traced.embodied_mt.tobytes())
+            traced = mc.mc_band_stack(values, unc, n_samples=150,
+                                      method="shm", max_workers=WORKERS)
+        assert traced == serial
+        for field in ("mean_mt", "p5_mt", "p50_mt", "p95_mt"):
+            assert (getattr(serial, field).tobytes()
+                    == getattr(traced, field).tobytes())
         # Every record — captured and in the JSONL file — validates.
-        assert trace.by_name("sweep.kernel")
+        assert trace.by_name("mc.band_stack")
         for record in trace.records:
             assert obs.validate_record(record) == [], record
         for line in trace_path.read_text(encoding="utf-8").splitlines():
@@ -399,17 +302,17 @@ class TestChaosTracing:
         if not _pool_ready():
             pytest.skip("cannot spawn worker processes")
         from repro import obs
-        records = list(study.public_records)
-        grid = _grid64()
-        serial = sweep(records, grid)
+        values, unc = _band_stack(study)
+        serial = mc.mc_band_stack(values, unc, n_samples=150,
+                                  method="serial")
         _inject(monkeypatch, "kill@block=0")
         retried0 = obs.get_counter("fanout.blocks_retried")
         with obs.capture() as trace:
-            chaos = sweep(records, grid, parallel="scenario-block",
-                          max_workers=WORKERS)
-        _assert_cubes_identical(serial, chaos)
+            chaos = mc.mc_band_stack(values, unc, n_samples=150,
+                                     method="shm", max_workers=WORKERS)
+        assert chaos == serial
         rounds = [r for r in trace.by_name("fanout.round")
-                  if r["attrs"].get("label") == "scenario-sweep"]
+                  if r["attrs"].get("label") == "mc-bands"]
         assert len(rounds) >= 2          # the kill cost a retry round
         round_nos = sorted(r["attrs"]["round"] for r in rounds)
         assert round_nos == list(range(len(rounds)))
@@ -477,8 +380,8 @@ class TestChaosServe:
     """The daemon's responses stay bit-identical under injected faults.
 
     The kernel-level specs (CI's ambient matrix: killed/hung workers,
-    attach and segment-create failures) strike *underneath* the
-    daemon's batches; the serve-level points (``kill@batch``,
+    attach and segment-create failures) strike the Monte-Carlo band
+    fan-out *underneath* the daemon's batches; the serve-level points (``kill@batch``,
     ``hang@request``, ``raise@cache-load``) strike the daemon itself.
     Either way every response must match the lone serial-floor
     reference byte for byte, with no shm segment left behind.
@@ -503,6 +406,9 @@ class TestChaosServe:
         # Hang specs must meet a short per-block deadline, and the
         # recovery must fit inside the requests' default 30s budgets.
         monkeypatch.setenv(resilience.TIMEOUT_ENV, "2")
+        # Let "auto" put even this small band request on the pool, so
+        # the kernel-level specs strike the daemon's one fan-out.
+        monkeypatch.setenv(mc.SHM_MIN_DRAWS_ENV, "0")
 
         async def scenario(server, post):
             results = await asyncio.gather(post("/v1/sweep", self._SWEEP),

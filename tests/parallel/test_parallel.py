@@ -1,12 +1,9 @@
-"""Chunking + executor tests (property-based where it matters)."""
-
-import os
+"""Chunking arithmetic tests (property-based where it matters)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.parallel.chunking import chunk_indices, chunked
-from repro.parallel.executor import ExecutionStats, parallel_map
+from repro.parallel.chunking import chunk_indices
 
 
 class TestChunkIndices:
@@ -39,59 +36,3 @@ class TestChunkIndices:
             chunk_indices(-1, 4)
         with pytest.raises(ValueError):
             chunk_indices(10, 0)
-
-    def test_chunked_yields_lists(self):
-        chunks = list(chunked([1, 2, 3, 4, 5], 2))
-        assert chunks == [[1, 2, 3], [4, 5]]
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-class TestParallelMap:
-    def test_serial_path(self):
-        stats: list[ExecutionStats] = []
-        result = parallel_map(_square, list(range(20)), max_workers=1,
-                              stats_out=stats)
-        assert result == [x * x for x in range(20)]
-        assert stats[0].n_workers == 1
-
-    def test_small_input_stays_serial(self):
-        stats: list[ExecutionStats] = []
-        parallel_map(_square, list(range(10)), max_workers=8, stats_out=stats)
-        assert stats[0].n_workers == 1   # below process threshold
-
-    def test_parallel_matches_serial(self):
-        items = list(range(300))
-        workers = min(4, os.cpu_count() or 1)
-        assert parallel_map(_square, items, max_workers=workers) == \
-            [x * x for x in items]
-
-    def test_order_preserved_parallel(self):
-        items = list(range(299, -1, -1))
-        result = parallel_map(_square, items, max_workers=2)
-        assert result == [x * x for x in items]
-
-    def test_stats_recorded(self):
-        stats: list[ExecutionStats] = []
-        parallel_map(_square, list(range(300)), max_workers=2,
-                     stats_out=stats)
-        assert stats[0].n_items == 300
-        assert stats[0].n_chunks > 1
-        assert stats[0].wall_seconds >= 0.0
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1], max_workers=0)
-
-    def test_invalid_chunks_per_worker(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1], chunks_per_worker=0)
-
-    @given(st.lists(st.integers(min_value=-1000, max_value=1000),
-                    max_size=200))
-    @settings(max_examples=20, deadline=None)
-    def test_equivalence_property(self, items):
-        assert parallel_map(_square, items, max_workers=1) == \
-            [x * x for x in items]

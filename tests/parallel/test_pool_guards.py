@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.parallel import pool as pool_mod
+from repro.parallel.resilience import supervised_map
 
 WORKERS = 2
 
@@ -77,8 +78,8 @@ class TestForkGuards:
 
         assert _run_in_fork(child) == 0
         # The parent's pool survived the child's teardown attempts.
-        assert pool_mod.pool_map(_echo, [1, 2, 3],
-                                 max_workers=WORKERS) == [1, 2, 3]
+        assert supervised_map(_echo, [1, 2, 3],
+                              max_workers=WORKERS) == [1, 2, 3]
 
     def test_forked_child_discards_not_shuts_down_inherited_pool(self):
         _require_pool()
@@ -94,8 +95,8 @@ class TestForkGuards:
             return 0
 
         assert _run_in_fork(child) == 0
-        assert pool_mod.pool_map(_echo, list(range(6)),
-                                 max_workers=WORKERS) == list(range(6))
+        assert supervised_map(_echo, list(range(6)),
+                              max_workers=WORKERS) == list(range(6))
 
     def test_atexit_teardown_is_pid_guarded(self):
         _require_pool()
@@ -108,7 +109,7 @@ class TestForkGuards:
             return 0
 
         assert _run_in_fork(child) == 0
-        assert pool_mod.pool_map(_echo, [7], max_workers=WORKERS) == [7]
+        assert supervised_map(_echo, [7], max_workers=WORKERS) == [7]
 
 
 class TestSpawnLatchRecovery:
@@ -122,7 +123,7 @@ class TestSpawnLatchRecovery:
         pool = pool_mod.get_pool(WORKERS)
         if pool is None:
             pytest.skip("cannot spawn worker processes")
-        assert pool_mod.pool_map(_echo, [1, 2], max_workers=WORKERS) == [1, 2]
+        assert supervised_map(_echo, [1, 2], max_workers=WORKERS) == [1, 2]
 
     def test_status_probe_never_spawns(self, monkeypatch):
         pool_mod.shutdown_pool()
@@ -219,8 +220,8 @@ class TestWorkerLifecycle:
             _require_pool()
         finally:
             signal.signal(signal.SIGTERM, previous)
-        assert pool_mod.pool_map(_default_term_handler, [0, 1],
-                                 max_workers=WORKERS) == [True, True]
+        assert supervised_map(_default_term_handler, [0, 1],
+                              max_workers=WORKERS) == [True, True]
 
 
 def _default_term_handler(_task) -> bool:

@@ -295,7 +295,7 @@ class TestRunLadder:
 
     def test_all_declined_raises(self):
         with pytest.raises(LadderExhaustedError):
-            run_ladder((("shm", lambda: None), ("pickle", lambda: None)))
+            run_ladder((("shm", lambda: None), ("serial", lambda: None)))
 
     def test_forced_method_pins_one_rung(self, monkeypatch):
         monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "serial")
@@ -326,12 +326,17 @@ class TestRunLadder:
                         ("serial", lambda: "slow")))
 
     def test_forced_method_not_in_ladder_ignored(self, monkeypatch):
+        monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "shm")
+        assert run_ladder((("serial", lambda: "slow"),)) == "slow"
+
+    def test_retired_pickle_method_warns_and_ignored(self, monkeypatch):
         monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "pickle")
-        assert run_ladder((("shm", lambda: "fast"),
-                           ("serial", lambda: "slow"))) == "fast"
+        with pytest.warns(RuntimeWarning, match="shm/serial"):
+            assert run_ladder((("shm", lambda: "fast"),
+                               ("serial", lambda: "slow"))) == "fast"
 
     def test_malformed_forced_method_warns_and_ignored(self, monkeypatch):
         monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "warp-drive")
-        with pytest.warns(RuntimeWarning, match="shm/pickle/serial"):
+        with pytest.warns(RuntimeWarning, match="shm/serial"):
             assert run_ladder((("shm", lambda: "fast"),
                                ("serial", lambda: "slow"))) == "fast"

@@ -1,11 +1,11 @@
 """Shared-memory pool layer: identity, fallback and failure modes.
 
-The scale-out contract: every dispatch method (serial, chunked-pickle,
-shm-pool) produces bit-identical arrays; every unavailability (no
-``/dev/shm``, no process spawning) degrades to the serial path with
-identical results; worker death degrades through the supervised
-dispatcher to identical serial output; and no shared-memory segment
-outlives its owner's bookkeeping — even when a batch dies mid-flight.
+The fan-out contract: the shm band path produces bit-identical bands
+to the serial kernel; every unavailability (no ``/dev/shm``, no
+process spawning) degrades to the serial path with identical results;
+worker death degrades through the supervised dispatcher to identical
+serial output; and no shared-memory segment outlives its owner's
+bookkeeping — even when a batch dies mid-flight.
 """
 
 import os
@@ -13,33 +13,20 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.vectorized import (
-    SparseRecords,
-    batch_embodied_mt,
-    batch_operational_mt,
-    fleet_batch_arrays,
-    fleet_frame,
-    parallel_batch_embodied_mt,
-    parallel_batch_operational_mt,
-)
+from repro.errors import FanOutExhaustedError
 from repro.parallel import pool as pool_mod
 from repro.parallel import resilience
 from repro.parallel import shm as shm_mod
-from repro.parallel.pool import WorkerCrashError, pool_map
+from repro.parallel.pool import WorkerCrashError
+from repro.parallel.resilience import RetryPolicy, supervised_map
 from repro.parallel.shm import SharedArrayPack, attach, live_owned_segments
 
 WORKERS = 2
 
 
-@pytest.fixture()
-def records(study):
-    return list(study.public_records)
-
-
 @pytest.fixture(autouse=True)
-def _release_pooled_frames():
+def _reset_ladder():
     yield
-    shm_mod.release_shared_frames()
     resilience.reset_ladder_state()
 
 
@@ -93,84 +80,6 @@ class TestSharedArrayPack:
         assert not shm_mod.shm_available()
 
 
-class TestSparseRecords:
-    def test_len_get_and_slice(self, records):
-        sparse = SparseRecords(10, {3: records[3], 7: records[7]})
-        assert len(sparse) == 10
-        assert sparse[3] is records[3]
-        assert sparse[0] is None
-        assert sparse[-3] is records[7]
-        sub = sparse[2:8]
-        assert len(sub) == 6
-        assert sub[1] is records[3]
-        assert sub[5] is records[7]
-        with pytest.raises(IndexError):
-            sparse[10]
-
-
-# ---------------------------------------------------------------------------
-# Dispatch-method identity + serial fallback
-# ---------------------------------------------------------------------------
-
-class TestShmBatchIdentity:
-    @pytest.mark.skipif(not shm_mod.shm_available(), reason="no /dev/shm")
-    def test_shm_matches_serial(self, records):
-        if not _pool_ready():
-            pytest.skip("cannot spawn worker processes")
-        frame = fleet_frame(records)
-        assert np.array_equal(
-            batch_operational_mt(records, frame=frame),
-            parallel_batch_operational_mt(records, frame=frame,
-                                          max_workers=WORKERS, method="shm"),
-            equal_nan=True)
-        assert np.array_equal(
-            batch_embodied_mt(records, frame=frame),
-            parallel_batch_embodied_mt(records, frame=frame,
-                                       max_workers=WORKERS, method="shm"),
-            equal_nan=True)
-
-    def test_no_shm_falls_back_to_identical_serial(self, records,
-                                                   monkeypatch):
-        monkeypatch.setenv(shm_mod.DISABLE_ENV, "1")
-        frame = fleet_frame(records)
-        values = parallel_batch_operational_mt(records, frame=frame,
-                                               max_workers=WORKERS,
-                                               method="shm")
-        assert np.array_equal(values, batch_operational_mt(records,
-                                                           frame=frame),
-                              equal_nan=True)
-        assert live_owned_segments() == ()
-
-    def test_no_processes_falls_back_to_identical_serial(self, records,
-                                                         monkeypatch):
-        monkeypatch.setenv(pool_mod.DISABLE_ENV, "1")
-        frame = fleet_frame(records)
-        values = parallel_batch_embodied_mt(records, frame=frame,
-                                            max_workers=WORKERS,
-                                            method="shm")
-        assert np.array_equal(values, batch_embodied_mt(records,
-                                                        frame=frame),
-                              equal_nan=True)
-        assert live_owned_segments() == ()
-
-    def test_fleet_batch_arrays_policies_agree(self, records):
-        serial = fleet_batch_arrays(records, parallel="never")
-        if _pool_ready():
-            pooled = fleet_batch_arrays(records, parallel="shm",
-                                        max_workers=WORKERS)
-        else:
-            pooled = fleet_batch_arrays(records, parallel="shm")
-        for field in ("op_mt", "op_unc", "emb_mt", "emb_unc"):
-            assert np.array_equal(getattr(serial, field),
-                                  getattr(pooled, field), equal_nan=True)
-
-    def test_unknown_policies_rejected(self, records):
-        with pytest.raises(ValueError):
-            fleet_batch_arrays(records, parallel="bogus")
-        with pytest.raises(ValueError):
-            parallel_batch_operational_mt(records, method="bogus")
-
-
 # ---------------------------------------------------------------------------
 # Failure modes
 # ---------------------------------------------------------------------------
@@ -183,41 +92,45 @@ def _echo(task):
     return task
 
 
+#: One attempt per block: a worker death exhausts the budget at once.
+_ONE_ATTEMPT = RetryPolicy(attempts=1)
+
+
 class TestFailureModes:
     def test_worker_death_raises_cleanly_and_pool_recovers(self):
         if not pool_mod.pool_available(WORKERS):
             pytest.skip("cannot spawn worker processes")
-        with pytest.raises(WorkerCrashError):
-            pool_map(_die, [1, 2, 3, 4], max_workers=WORKERS)
+        with pytest.raises(FanOutExhaustedError):
+            supervised_map(_die, [1, 2, 3, 4], max_workers=WORKERS,
+                           policy=_ONE_ATTEMPT)
         # The broken pool was discarded; the next batch runs clean.
-        assert pool_map(_echo, [1, 2, 3], max_workers=WORKERS) == [1, 2, 3]
+        assert supervised_map(_echo, [1, 2, 3],
+                              max_workers=WORKERS) == [1, 2, 3]
 
     def test_ordinary_exceptions_propagate_unwrapped(self):
         def boom(_):
             raise RuntimeError("task failure")
         with pytest.raises(RuntimeError, match="task failure"):
-            pool_map(boom, [1])
+            supervised_map(boom, [1])
 
     @pytest.mark.skipif(not shm_mod.shm_available(), reason="no /dev/shm")
-    def test_no_leaked_segments_after_midbatch_exception(self, records,
-                                                         monkeypatch):
+    def test_no_leaked_segments_after_midbatch_exception(self, monkeypatch):
         if not _pool_ready():
             pytest.skip("cannot spawn worker processes")
-        frame = fleet_frame(records)
+        from repro.uncertainty import mc
+
+        values = np.abs(np.random.default_rng(0).normal(100, 10, (4, 50)))
+        unc = np.full((4, 50), 0.2)
 
         def explode(*args, **kwargs):
             raise RuntimeError("mid-batch death")
 
         monkeypatch.setattr(resilience, "supervised_map", explode)
         with pytest.raises(RuntimeError, match="mid-batch death"):
-            parallel_batch_operational_mt(records, frame=frame,
-                                          max_workers=WORKERS, method="shm")
-        # The per-call output pack was unlinked by the finally; only
-        # the (deliberately pooled) frame segment remains, and
-        # releasing the pool drains the registry completely.
-        remaining = live_owned_segments()
-        assert len(remaining) <= 1
-        shm_mod.release_shared_frames()
+            mc.mc_band_stack(values, unc, n_samples=100, method="shm",
+                             max_workers=WORKERS)
+        # Both per-call packs (input stack + output stats) were
+        # unlinked by the finally blocks.
         assert live_owned_segments() == ()
 
 
@@ -298,8 +211,8 @@ class TestMcBandFanOut:
 
     @pytest.mark.skipif(not shm_mod.shm_available(), reason="no /dev/shm")
     def test_real_worker_death_recovers_end_to_end(self):
-        """A draw-block task whose worker actually dies: ``pool_map``
-        (the unsupervised primitive) still raises, and the engine's own
+        """A draw-block task whose worker actually dies: the dispatcher
+        raises once the attempt budget is spent, and the engine's own
         entry point recovers on a fresh pool afterwards."""
         if not _pool_ready():
             pytest.skip("cannot spawn worker processes")
@@ -312,8 +225,9 @@ class TestMcBandFanOut:
         try:
             tasks = [(in_pack.handle, out_pack.handle, 0, 2, 100, 1),
                      (in_pack.handle, out_pack.handle, 2, 4, 100, 1)]
-            with pytest.raises(WorkerCrashError):
-                pool_map(_die, tasks, max_workers=WORKERS)
+            with pytest.raises(FanOutExhaustedError):
+                supervised_map(_die, tasks, max_workers=WORKERS,
+                               policy=_ONE_ATTEMPT)
             # The engine's own entry point still works afterwards: the
             # broken pool was discarded and a fresh one spawns.
             stack = mc.mc_band_stack(values, unc, n_samples=100,

@@ -8,8 +8,6 @@ The hard contracts:
 * the paper-defaults scenario's totals bit-identical to
   `CarbonProjection.paper_defaults`, year by year (the Fig. 10 anchor:
   ≈1.8× operational / ≈1.1× embodied at 2030);
-* the shm scenario-block fan-out bit-identical to the serial temporal
-  kernel on the acceptance grid;
 * `ProjectionCube.save_npz` an exact round trip.
 """
 
@@ -286,55 +284,6 @@ class TestRefreshSemantics:
         plain = project_sweep(records, [baseline_spec()])
         assert np.array_equal(refresh.values("operational"),
                               plain.values("operational"), equal_nan=True)
-
-
-# ---------------------------------------------------------------------------
-# Scenario-block fan-out (shared-memory pool)
-# ---------------------------------------------------------------------------
-
-class TestProjectionScenarioBlock:
-    WORKERS = 2
-
-    def _pool_ready(self) -> bool:
-        from repro.parallel import pool as pool_mod
-        from repro.parallel import shm as shm_mod
-        return shm_mod.shm_available() and pool_mod.pool_available(
-            self.WORKERS)
-
-    def test_acceptance_grid_bit_identical(self, dataset):
-        """The acceptance criterion: the shm scenario×year fan-out
-        equals the serial temporal kernel bit-for-bit on the
-        64-scenario × 7-year grid."""
-        from repro.parallel import shm as shm_mod
-
-        if not self._pool_ready():
-            pytest.skip("host cannot run the shared-memory pool")
-        records = dataset.public_records()
-        serial = project_sweep(records, acceptance_grid())
-        try:
-            fanned = project_sweep(records, acceptance_grid(),
-                                   parallel="scenario-block",
-                                   max_workers=self.WORKERS)
-        finally:
-            shm_mod.release_shared_frames()
-        assert_projections_identical(
-            fanned, project_scalar_reference(records, acceptance_grid()))
-        for footprint in ("operational", "embodied"):
-            assert np.array_equal(fanned.values(footprint),
-                                  serial.values(footprint), equal_nan=True)
-            assert np.array_equal(fanned.totals(footprint),
-                                  serial.totals(footprint))
-
-    def test_disabled_pool_falls_back_serially(self, dataset, monkeypatch):
-        from repro.parallel import pool as pool_mod
-
-        monkeypatch.setenv(pool_mod.DISABLE_ENV, "1")
-        records = dataset.public_records()[:60]
-        specs = aci_scale_axis((1.0, 0.8, 0.6))
-        fanned = project_sweep(records, specs, parallel="scenario-block")
-        serial = project_sweep(records, specs)
-        assert np.array_equal(fanned.values("operational"),
-                              serial.values("operational"), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

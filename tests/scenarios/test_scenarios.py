@@ -338,81 +338,6 @@ class TestSweepBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Scenario-block fan-out (shared-memory pool)
-# ---------------------------------------------------------------------------
-
-class TestScenarioBlockSweep:
-    WORKERS = 2
-
-    def _pool_ready(self) -> bool:
-        from repro.parallel import pool as pool_mod
-        from repro.parallel import shm as shm_mod
-        return shm_mod.shm_available() and pool_mod.pool_available(
-            self.WORKERS)
-
-    def test_acceptance_grid_bit_identical(self, dataset):
-        """The acceptance criterion: scenario-block fan-out of the
-        64-scenario grid equals the serial 2-D kernel bit-for-bit."""
-        from repro.parallel import shm as shm_mod
-
-        if not self._pool_ready():
-            pytest.skip("host cannot run the shared-memory pool")
-        records = dataset.public_records()
-        grid = ScenarioGrid.cartesian(
-            aci_scale_axis((1.0, 0.9, 0.8, 0.7)),
-            pue_axis((1.0, 1.1, 1.2, 1.3)),
-            utilization_axis((0.5, 0.65, 0.8, 0.95)),
-        )
-        serial = sweep(records, grid)
-        try:
-            block = sweep(records, grid, parallel="scenario-block",
-                          max_workers=self.WORKERS)
-        finally:
-            shm_mod.release_shared_frames()
-        assert_cubes_identical(block, serial)
-        assert np.array_equal(serial.lifetime_years, block.lifetime_years)
-
-    def test_strict_catalog_fallback_bit_identical(self, dataset):
-        """Scenario-block must ship the scalar-fallback closure: a
-        strict-catalog scenario pushes many records to the scalar
-        model inside the workers."""
-        import dataclasses as dc
-
-        from repro.parallel import shm as shm_mod
-
-        if not self._pool_ready():
-            pytest.skip("host cannot run the shared-memory pool")
-        records = dataset.public_records()
-        strict = dc.replace(DEFAULT_CATALOG,
-                            unknown_policy=UnknownDevicePolicy.STRICT)
-        specs = (ScenarioSpec(name="strict", catalog=strict),
-                 baseline_spec(),
-                 ScenarioSpec(name="half aci", aci_scale=0.5))
-        serial = sweep(records, specs)
-        try:
-            block = sweep(records, specs, parallel="scenario-block",
-                          max_workers=self.WORKERS)
-        finally:
-            shm_mod.release_shared_frames()
-        assert_cubes_identical(block, serial)
-
-    def test_unavailable_pool_falls_back_serially(self, dataset,
-                                                  monkeypatch):
-        from repro.parallel import pool as pool_mod
-
-        monkeypatch.setenv(pool_mod.DISABLE_ENV, "1")
-        records = dataset.public_records()
-        specs = aci_scale_axis((1.0, 0.8, 0.6))
-        block = sweep(records, specs, parallel="scenario-block")
-        assert_cubes_identical(block, sweep(records, specs))
-
-    def test_unknown_parallel_mode_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            sweep(dataset.public_records()[:3], aci_scale_axis((1.0,)),
-                  parallel="rows")
-
-
-# ---------------------------------------------------------------------------
 # Cube reductions
 # ---------------------------------------------------------------------------
 

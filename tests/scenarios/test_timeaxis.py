@@ -346,35 +346,3 @@ class TestShiftCube:
             shift_sweep(records, grid,
                         windows=(HourWindow("a", (1,)),
                                  HourWindow("a", (2,))))
-
-
-class TestScenarioBlockShiftSweep:
-    WORKERS = 2
-
-    def _pool_ready(self) -> bool:
-        from repro.parallel import pool as pool_mod
-        from repro.parallel import shm as shm_mod
-        return shm_mod.shm_available() and pool_mod.pool_available(
-            self.WORKERS)
-
-    def test_shm_fanout_bit_identical(self, dataset):
-        """The base sweep fans out over the supervised shm dispatcher;
-        the hour factors ride on top — bit-identical to serial."""
-        from repro.parallel import shm as shm_mod
-
-        if not self._pool_ready():
-            pytest.skip("host cannot run the shared-memory pool")
-        records = dataset.public_records()
-        specs = mixed_specs()
-        serial = shift_sweep(records, specs, profile=PROFILE)
-        try:
-            block = shift_sweep(records, specs, profile=PROFILE,
-                                parallel="scenario-block",
-                                max_workers=self.WORKERS)
-        finally:
-            shm_mod.release_shared_frames()
-        assert np.array_equal(serial.values("operational"),
-                              block.values("operational"), equal_nan=True)
-        assert np.array_equal(serial.values("embodied"),
-                              block.values("embodied"), equal_nan=True)
-        assert np.array_equal(serial.op_hour_factors, block.op_hour_factors)

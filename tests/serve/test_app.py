@@ -487,6 +487,51 @@ class TestBreakerRecovery:
         run_server(scenario, config)
 
 
+class TestFanOutRouting:
+    """The daemon's sweeps never fan out; its one fan-out is the band
+    stack, and a degraded breaker pins that to the serial kernel."""
+
+    _SWEEP = {"fleet": "doe-like", "axes": {"pue": [1.0, 1.1, 1.2, 1.3]}}
+    _BANDS = {"fleet": "doe-like", "axes": {"pue": [1.0, 1.2, 1.4]},
+              "n_samples": 400, "seed": 5}
+
+    def test_computed_sweep_builds_no_pool(self):
+        from repro.parallel import pool as pool_mod
+
+        pool_mod.shutdown_pool()
+
+        async def scenario(server, get, post):
+            dispatched = obs.get_counter("fanout.blocks_dispatched")
+            status, headers, body = await post("/v1/sweep", self._SWEEP)
+            assert status == 200
+            assert headers["X-Repro-Cache"] == "miss"
+            assert body == _serial_reference(self._SWEEP)
+            assert pool_mod.pool_status()["live"] is False
+            assert obs.get_counter("fanout.blocks_dispatched") == dispatched
+
+        run_server(scenario)
+
+    def test_degraded_breaker_runs_bands_serially(self, monkeypatch):
+        from repro.uncertainty import mc
+
+        # Every band stack is now big enough for "auto" to take the pool.
+        monkeypatch.setenv(mc.SHM_MIN_DRAWS_ENV, "0")
+        reference = _serial_reference(self._BANDS, kind="bands")
+
+        async def scenario(server, get, post):
+            for _ in range(server.config.breaker_degrade_after):
+                server.breaker.record_failure()
+            assert server.breaker.state == "degraded"
+            dispatched = obs.get_counter("fanout.blocks_dispatched")
+            status, headers, body = await post("/v1/bands", self._BANDS)
+            assert status == 200
+            assert headers["X-Repro-Cache"] == "miss"
+            assert body == reference
+            assert obs.get_counter("fanout.blocks_dispatched") == dispatched
+
+        run_server(scenario)
+
+
 class TestJanitorTask:
     def test_periodic_janitor_sweeps_orphans(self, monkeypatch):
         from repro.parallel import shm as shm_mod

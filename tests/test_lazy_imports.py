@@ -19,7 +19,7 @@ import repro.core
 import repro.parallel
 
 #: Modules a bare ``import repro.cli`` / ``repro --help`` must not load.
-HEAVY = ("numpy", "concurrent.futures", "repro.parallel.executor",
+HEAVY = ("numpy", "concurrent.futures", "repro.parallel.pool",
          "repro.study")
 
 
@@ -45,6 +45,20 @@ def test_cli_cold_path_skips_heavy_modules(code):
     loaded = _modules_after(code)
     assert "repro.cli" in loaded
     assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
+
+
+def test_scenario_sweep_command_loads_no_parallel_code():
+    """The serial kernels are the whole cold path: a CLI sweep must
+    not import the fan-out substrate at all."""
+    loaded = _modules_after(
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    repro.cli.main(['scenarios', '--grid', 'acceptance'])")
+    assert "repro.scenarios.sweep" in loaded
+    parallel = sorted(name for name in loaded
+                      if name == "repro.parallel"
+                      or name.startswith("repro.parallel."))
+    assert parallel == []
 
 
 #: Where each re-exported name is defined: package -> submodule -> names.
@@ -79,20 +93,17 @@ SOURCES = {
                                   "batch_embodied_mt"),
     },
     "repro.parallel": {
-        "repro.parallel.chunking": ("chunk_indices", "chunked"),
-        "repro.parallel.executor": ("parallel_map", "ExecutionStats"),
+        "repro.parallel.chunking": ("chunk_indices",),
         "repro.parallel.faults": ("FaultPlan", "FaultRule", "InjectedFault"),
         "repro.parallel.pool": ("WorkerCrashError", "get_pool", "kill_pool",
-                                "pool_available", "pool_map",
+                                "pool_available",
                                 "processes_disabled", "reset_pool",
                                 "shutdown_pool"),
         "repro.parallel.resilience": ("DegradedFanOutWarning", "RetryPolicy",
                                       "latched_rungs", "reset_ladder_state",
                                       "run_ladder", "supervised_map"),
-        "repro.parallel.shm": ("SharedArrayPack", "SharedFleetFrame",
-                               "live_owned_segments", "release_shared_frames",
-                               "shared_fleet_frame", "shm_available",
-                               "sweep_orphaned_segments"),
+        "repro.parallel.shm": ("SharedArrayPack", "live_owned_segments",
+                               "shm_available", "sweep_orphaned_segments"),
     },
 }
 

@@ -32,6 +32,7 @@ from repro.core.uncertainty import (
 )
 from repro.parallel import pool as pool_mod
 from repro.parallel import shm as shm_mod
+from repro.parallel.resilience import supervised_map
 from repro.uncertainty import mc
 from repro.uncertainty.mc import (
     BandStack,
@@ -334,8 +335,8 @@ class TestSlabLoop:
         if method == "shm":
             if not _pool_ready():
                 pytest.skip("cannot spawn worker processes")
-            seen = pool_mod.pool_map(_worker_slab_bytes, [0, 1],
-                                     max_workers=WORKERS)
+            seen = supervised_map(_worker_slab_bytes, [0, 1],
+                                  max_workers=WORKERS)
             assert seen == [SLAB_CASES[slab_case]] * 2
         values, unc = slab_stack()
         stack = mc_band_stack(values, unc, n_samples=SLAB_SAMPLES, seed=3,
