@@ -177,7 +177,7 @@ def test_throughput_engine_speedup(dataset, save_artifact, results_dir):
 
     def band_kernel():
         # method="serial": the gated ratio isolates the batching win
-        # (one stream draw + fused per-cell arithmetic) from pool
+        # (one stream walk + fused per-cell arithmetic) from thread
         # parallelism, so it stays machine-normalized like the other
         # gated speedups — docs/uncertainty.md makes the same claim.
         return proj.band_stack("operational", n_samples=mc_samples,

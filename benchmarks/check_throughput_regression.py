@@ -26,14 +26,14 @@ same PR that introduces them).
 
 With ``--scaling-baseline``/``--scaling-current`` the gate also reads
 ``BENCH_scaling.json`` (the Monte-Carlo band fan-out, serial kernel vs
-shm pool) and checks ``shm_vs_serial`` at the curve's gate shape
+threads) and checks ``threads_vs_serial`` at the curve's gate shape
 (recorded as ``gate_shape``) against the committed value only
 (``--scaling-max-regression``, default 50 % — cross-machine ratio
 variance is larger than same-engine variance; the ratio exceeds 1.0
 only on multi-core runners, so an absolute floor would be machine
 policy, not a regression check).  Scaling checks are skipped
-(reported, not failed) when the measuring runner had no shared memory
-or could not spawn processes.
+(reported, not failed) when the measuring runner had fewer than two
+CPUs.
 
 With ``--serve-baseline``/``--serve-current`` the gate also reads
 ``BENCH_serve.json`` (the ``repro serve`` daemon benchmark) and checks
@@ -179,18 +179,19 @@ def _curve_point(data: dict, shape: str) -> dict | None:
 
 def _check_scaling(baseline: dict, current: dict, max_regression: float,
                    failures: list[str]) -> None:
-    """Gate the band fan-out's shm-vs-serial ratio at its gate shape."""
-    if not (current.get("shm_available") and current.get("pool_available")):
-        print("  scaling: runner has no shm/process pool — skip")
+    """Gate the band fan-out's threads-vs-serial ratio at its gate shape."""
+    if (current.get("cpu_count") or 1) < 2:
+        print("  scaling: runner has fewer than two CPUs — skip")
         return
     shape = current.get("gate_shape")
     cur = _curve_point(current, shape)
     if cur is None:
         failures.append(f"scaling: no {shape!r} point in current curve")
         return
-    committed = (_curve_point(baseline, shape) or {}).get("shm_vs_serial")
-    measured = cur.get("shm_vs_serial")
-    label = f"scaling.shm_vs_serial@{shape}"
+    committed = (_curve_point(baseline, shape) or {}).get(
+        "threads_vs_serial")
+    measured = cur.get("threads_vs_serial")
+    label = f"scaling.threads_vs_serial@{shape}"
     if committed is None:
         print(f"  {label}: no committed baseline (current: {measured}) "
               "— skip")

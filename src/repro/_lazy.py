@@ -1,8 +1,8 @@
 """Lazy package re-exports (PEP 562).
 
 A package ``__init__`` that re-exports names from its submodules would
-otherwise import every one of them — and numpy, the process pool, the
-serve stack behind them — the moment anything under the package is
+otherwise import every one of them — and numpy, ``concurrent.futures``,
+the serve stack behind them — the moment anything under the package is
 imported.  :func:`attach` returns the ``__getattr__`` / ``__dir__`` /
 ``__all__`` triple that defers each submodule import to the first
 access of one of its names, so ``import repro.cli`` (and therefore

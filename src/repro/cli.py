@@ -21,11 +21,9 @@ Commands:
   hour profiles, greenest-k / off-peak placement axes, optional
   Monte-Carlo bands; with a flat profile it reproduces ``scenarios``
   bit-identically (the annual-mean path).
-* ``doctor``    — parallel-substrate health check: reports pool/shm
-  availability, degradation-ladder state, and the process-lifetime
-  activity counters, and sweeps shared-memory segments orphaned by
-  crashed runs; ``--json`` emits the stable machine schema the
-  daemon's ``/readyz`` embeds.
+* ``doctor``    — health report: the active fault plan, the L2 result
+  cache and the process-lifetime activity counters; ``--json`` emits
+  the stable machine schema the daemon's ``/readyz`` embeds.
 * ``serve``     — the warm assessment daemon: coalescing HTTP service
   over the same kernels, with deadlines, backpressure, a circuit
   breaker, result caching, and graceful drain (``docs/serving.md``).
@@ -264,12 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     doctor = sub.add_parser(
         "doctor",
-        help="check the parallel substrate and sweep orphaned "
-             "shared-memory segments")
-    doctor.add_argument("--registry-dir", default=None, metavar="DIR",
-                        help="segment-registry directory to sweep "
-                             "(default: the live registry location, "
-                             "REPRO_SHM_REGISTRY_DIR or /dev/shm)")
+        help="report the fault plan, the L2 result cache and the "
+             "process counters")
     doctor.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the stable machine-readable report "
                              "(the same schema /readyz embeds) instead "
@@ -298,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--cache-entries", type=int, default=256,
                      help="result-cache capacity (LRU; default 256)")
     srv.add_argument("--janitor-interval-s", type=float, default=30.0,
-                     help="seconds between orphaned-segment sweeps "
+                     help="seconds between replica-status refreshes "
                           "(default 30)")
     srv.add_argument("--workers", type=int, default=1,
                      help="replica count; >1 runs a supervised tier "
@@ -677,13 +671,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
-    """Substrate health check + shm janitor pass.
-
-    Prints what the parallel stack would actually use on this host
-    (process pool, shared memory, degradation-ladder state, fault
-    plan) and unlinks any shared-memory segment whose owner process is
-    dead — the recovery tool for hosts where a previous run was
-    SIGKILLed before its ``atexit`` cleanup could run.
+    """Health report: fault plan, L2 result cache, counters.
 
     Both renderings come from the same
     :func:`repro.serve.health.doctor_report` dict the daemon's
@@ -694,8 +682,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
     from repro.serve.health import doctor_report, render_doctor_table
 
-    report = doctor_report(registry_dir=args.registry_dir, sweep=True,
-                           cache_dir=args.cache_dir)
+    report = doctor_report(cache_dir=args.cache_dir)
     if args.as_json:
         print(json_mod.dumps(report, indent=2, sort_keys=True))
     else:

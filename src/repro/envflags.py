@@ -1,8 +1,8 @@
 """Normalized parsing of ``REPRO_*`` environment knobs.
 
 Before this module, each boolean flag was read with a bare
-``os.environ.get(name)`` truthiness test, so ``REPRO_DISABLE_SHM=0``
-*disabled* shared memory — any non-empty string counted as true — and
+``os.environ.get(name)`` truthiness test, so a flag set to ``0`` was
+*on* — any non-empty string counted as true — and
 each numeric override hand-rolled its own ``int()``/``float()`` with
 ad-hoc (or missing) error handling.  Three functions give every knob
 one grammar:
@@ -32,9 +32,8 @@ __all__ = ["env_flag", "env_int", "env_float"]
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off", ""})
 
-#: (name, raw value) pairs already warned about, so a flag consulted on
-#: every dispatch (the pool/shm disables, the fan-out policy knobs)
-#: warns exactly once.  Re-armed by :func:`repro.obs.reset_warnings`.
+#: (name, raw value) pairs already warned about, so a knob consulted on
+#: every call warns exactly once.  Re-armed by :func:`repro.obs.reset_warnings`.
 _WARNED: set[tuple[str, str]] = set()
 
 

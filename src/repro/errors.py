@@ -2,18 +2,15 @@
 
 Every error raised by this library derives from :class:`ReproError`, so
 callers can catch the whole family with a single ``except`` clause.  The
-subclasses distinguish the three failure domains that matter to users:
+subclasses distinguish the failure domains that matter to users:
 
 * bad input data (:class:`DataError` and friends),
 * a model that cannot produce an estimate from the visible fields
   (:class:`InsufficientDataError` — this one is *expected* in normal
   operation: it is how EasyC and the GHG-protocol calculator signal
-  "no coverage" for a system), and
+  "no coverage" for a system),
 * misconfiguration of the models themselves (:class:`ConfigError`),
-* the parallel substrate giving up after supervised recovery
-  (:class:`FanOutError` and friends — raised only once retries and the
-  shm → serial degradation ladder are both exhausted; see
-  ``docs/robustness.md``), and
+  and
 * the assessment service refusing or abandoning a request
   (:class:`ServeError` and friends — each subclass names one refusal
   path of the ``repro serve`` daemon and carries a stable ``code``
@@ -78,70 +75,6 @@ class ParseError(DataError):
     """Raised when embedded paper data cannot be parsed."""
 
 
-class FanOutError(ReproError):
-    """Base class for parallel fan-out failures that survived recovery.
-
-    The supervised dispatcher (:mod:`repro.parallel.resilience`)
-    retries crashed and hung blocks and degrades through the
-    shm → serial ladder before raising; an escaped
-    ``FanOutError`` therefore means every recovery path was exhausted.
-    ``label`` names the dispatch that failed (e.g. ``"mc-bands"``).
-    """
-
-    def __init__(self, message: str, *, label: str = "fan-out"):
-        self.label = label
-        super().__init__(message)
-
-
-class BlockTimeoutError(FanOutError):
-    """A dispatched block missed its deadline (hung worker).
-
-    Recorded as the cause of the retry round that killed the pool;
-    escapes only when the block keeps hanging through every attempt.
-    """
-
-    def __init__(self, *, label: str = "fan-out", block: int,
-                 timeout_s: float):
-        self.block = block
-        self.timeout_s = timeout_s
-        super().__init__(
-            f"{label}: block {block} missed its {timeout_s:g}s deadline "
-            "(worker presumed hung; pool killed)", label=label)
-
-
-class FanOutExhaustedError(FanOutError):
-    """Blocks kept failing after every allowed attempt.
-
-    ``blocks`` are the task-block indices still incomplete, ``attempts``
-    the per-block attempt budget that was spent on each.
-    """
-
-    def __init__(self, *, label: str = "fan-out",
-                 blocks: tuple[int, ...], attempts: int):
-        self.blocks = tuple(blocks)
-        self.attempts = attempts
-        super().__init__(
-            f"{label}: block(s) {', '.join(map(str, blocks))} still "
-            f"failing after {attempts} attempt(s) each", label=label)
-
-
-class LadderExhaustedError(FanOutError):
-    """Every rung of a degradation ladder declined or failed.
-
-    ``rungs`` records the rung names in the order they were tried.
-    Reaching this means even the final (serial) rung did not run —
-    a configuration problem (e.g. ``REPRO_FORCE_METHOD`` forcing a
-    rung the host cannot provide), not a transient fault.
-    """
-
-    def __init__(self, *, label: str = "fan-out",
-                 rungs: tuple[str, ...]):
-        self.rungs = tuple(rungs)
-        super().__init__(
-            f"{label}: no rung of the degradation ladder produced a "
-            f"result (tried: {', '.join(rungs) or '(none)'})", label=label)
-
-
 class ServeError(ReproError):
     """Base class for assessment-service refusals and abandonments.
 
@@ -160,12 +93,12 @@ class ServeError(ReproError):
 
 
 class DeadlineExceededError(ServeError):
-    """A request (or supervised dispatch) ran out of its time budget.
+    """A request (or the band kernel under it) ran out of its budget.
 
-    Raised by the supervised dispatcher when a
-    :func:`repro.parallel.resilience.deadline_scope` budget expires
-    mid-fan-out (the pool is killed first, so a hung worker can never
-    wedge the caller past the budget), and by the serving layer when a
+    Raised by :func:`repro.parallel.resilience.check_deadline` once a
+    :func:`~repro.parallel.resilience.deadline_scope` budget is spent —
+    between the requests of a serve batch and before every window of
+    the Monte-Carlo band kernel — and by the serving layer when a
     queued request's deadline passes before or during its batch.
     """
 

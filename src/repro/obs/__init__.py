@@ -4,9 +4,9 @@ The observability substrate the serving daemon and multi-host backends
 will report through.  Three pieces:
 
 * :mod:`repro.obs.tracing` — nested span tracer (contextvars, monotonic
-  clocks, worker collect mode, ``REPRO_TRACE`` JSONL sink);
+  clocks, ``REPRO_TRACE`` JSONL sink);
 * :mod:`repro.obs.metrics` — always-on process-lifetime counters plus
-  the bounded failure-event history;
+  the bounded event history;
 * :mod:`repro.obs.profile` — self/cumulative aggregation and the table
   ``repro profile`` prints.
 
@@ -35,9 +35,7 @@ from repro.obs.tracing import (
     TRACE_ENV,
     Trace,
     capture,
-    collect,
     current_span_id,
-    emit_collected,
     span,
     tracing_active,
     validate_record,
@@ -49,8 +47,6 @@ __all__ = [
     "Trace",
     "span",
     "capture",
-    "collect",
-    "emit_collected",
     "current_span_id",
     "tracing_active",
     "validate_record",

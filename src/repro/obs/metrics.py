@@ -1,40 +1,25 @@
-"""Process-lifetime counters and the failure-event ring buffer.
+"""Process-lifetime counters and the event ring buffer.
 
 Counters are always on: unlike spans they cost one dict update at
-*block* granularity (a dispatch, a segment placement, a cache lookup),
-so there is no disabled path to protect.  The registry is flat —
-dotted names, numeric values — and read three ways:
+*block* granularity (a dispatch, a cache lookup), so there is no
+disabled path to protect.  The registry is flat — dotted names,
+numeric values — and read three ways:
 
 * :func:`metrics_snapshot` → the "activity" section of ``repro
   doctor`` and the metrics block of profile output;
-* :func:`events` → the counted-failure history that
-  :class:`~repro.parallel.resilience.DegradedFanOutWarning` quotes
-  when a rung latches off (which errors, which blocks — not just the
-  rung name);
+* :func:`events` → a bounded history of structured events;
 * tests, which pin exact counts for deterministic paths.
 
 The counter namespace (kept in ``docs/observability.md``):
 
-=========================  =================================================
-``fanout.blocks_dispatched``  block submissions to the pool (retries included)
-``fanout.blocks_retried``     re-submissions of previously lost blocks
-``fanout.blocks_lost``        blocks lost to a crash/hang and re-queued
-``fanout.deadline_misses``    per-block deadlines that expired
-``fanout.rounds``             dispatch rounds run by ``supervised_map``
-``ladder.declines``           rungs that declined (substrate unavailable)
-``ladder.failures``           counted infrastructure failures at a rung
-``ladder.latches``            rungs latched off for the process
-``pool.rebuilds``             process pools constructed
-``pool.kills``                pools torn down after crash/hang/deadline
-``shm.segments_created``      shared-memory segments created
-``shm.attaches``              segment attaches (worker side)
-``shm.bytes_placed``          bytes placed into created segments
-``shm.orphans_swept``         leaked segments removed by the janitor
-``cache.frame_hits/_misses``      FleetFrame cache outcomes
-``cache.lowering_hits/_misses``   scenario lowering-cache outcomes
-``kernel.cells``              (system × quantity) cells evaluated
-``mc.draws``                  Monte-Carlo draws consumed
-=========================  =================================================
+==================================  =============================================
+``fanout.blocks_dispatched``        band cell blocks submitted to the thread pool
+``fanout.deadline_scope_exceeded``  deadline scopes found spent
+``cache.frame_hits/_misses``        FleetFrame cache outcomes
+``cache.lowering_hits/_misses``     scenario lowering-cache outcomes
+``kernel.cells``                    (system × quantity) cells evaluated
+``mc.draws``                        Monte-Carlo draws consumed
+==================================  =============================================
 
 All helpers are threadsafe under one lock; the hot-path cost is a
 dict ``get`` + add.
@@ -59,9 +44,8 @@ __all__ = [
 _LOCK = threading.Lock()
 _COUNTERS: dict[str, float] = {}
 
-#: Bounded failure history: enough to reconstruct why a rung latched,
-#: small enough to never matter.  Each entry is a plain dict with at
-#: least ``kind``; the dispatcher adds rung/label/block/error fields.
+#: Bounded event history, small enough to never matter.  Each entry is
+#: a plain dict with at least ``kind``.
 _EVENT_CAP = 64
 _EVENTS: deque[dict[str, Any]] = deque(maxlen=_EVENT_CAP)
 
@@ -85,7 +69,7 @@ def metrics_snapshot() -> dict[str, float]:
 
 
 def record_event(kind: str, **fields: Any) -> None:
-    """Append one structured event to the bounded failure history."""
+    """Append one structured event to the bounded history."""
     with _LOCK:
         _EVENTS.append({"kind": kind, **fields})
 
@@ -109,16 +93,12 @@ def reset_metrics() -> None:
 def reset_warnings() -> None:
     """Re-arm every warn-once registry in the library (test hook).
 
-    Warn-once sets keep a flag consulted on every dispatch from
-    spamming (``envflags.env_flag``, the fault-plan parser, the
-    ``REPRO_FORCE_METHOD`` guard).  Suites that assert those warnings
-    fire call this instead of reaching into three private sets.
+    Warn-once sets keep a knob consulted on every call from spamming
+    (``envflags``, the fault-plan parser).  Suites that assert those
+    warnings fire call this instead of reaching into private sets.
     """
-    # Imported lazily: resilience imports repro.obs at module import
-    # time, so a top-level import here would be circular.
     from repro import envflags
-    from repro.parallel import faults, resilience
+    from repro.parallel import faults
 
     envflags._WARNED.clear()
     faults._WARNED.clear()
-    resilience._WARNED_FORCE.clear()

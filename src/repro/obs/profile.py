@@ -10,11 +10,11 @@ summaries:
 * **self** — cum minus the time attributed to *direct* child spans,
   i.e. the time the name spent doing its own work.
 
-Worker spans arrive re-parented under their dispatch round (see
-:func:`repro.obs.tracing.emit_collected`), so self/cum attribution
-crosses process boundaries transparently.  Note that spans running
-concurrently (pool workers) each accrue their own wall time, so cum
-totals can legitimately exceed the parent process's elapsed time —
+Thread-block spans nest under the span that submitted them (the
+current span is a context variable the fan-out copies into each
+block).  Note that spans running concurrently (the band fan-out's
+thread blocks) each accrue their own wall time, so cum totals can
+legitimately exceed the parent process's elapsed time —
 the table reports per-span sums, the coverage line compares *root*
 spans only against wall clock.
 """

@@ -1,9 +1,9 @@
-"""Zero-dependency span tracer for every engine and the dispatcher.
+"""Zero-dependency span tracer for every engine and the daemon.
 
-A *span* is one timed region of work — a frame extraction, a dispatch
-round, a Monte-Carlo draw slab — recorded as a flat dict and shipped to
-whichever sinks are active when it closes.  The design constraints, in
-order:
+A *span* is one timed region of work — a frame extraction, a sweep
+kernel, a Monte-Carlo statistics block — recorded as a flat dict and
+shipped to whichever sinks are active when it closes.  The design
+constraints, in order:
 
 * **Disabled is free.**  :func:`span` returns a shared no-op context
   manager after one cheap check when nothing is listening; the hot
@@ -12,16 +12,13 @@ order:
 * **Tracing never changes results.**  Spans only observe; the chaos
   suite asserts bit-identity of traced and untraced runs under every
   ``REPRO_FAULT_SPEC`` entry.
-* **Workers participate.**  Pool workers buffer their spans in
-  *collect mode* (:func:`collect`) and return them alongside the block
-  result through the existing dispatcher, which re-parents them under
-  the dispatching round via :func:`emit_collected` — one coherent tree
-  across processes, no side-channel files or queues.
+* **Threads participate.**  The current span is a context variable, so
+  work submitted through ``contextvars.copy_context().run`` (the band
+  fan-out's thread blocks, the daemon's executor calls) nests under
+  the span that submitted it — one coherent tree.
 
-Sinks, checked in this order when a span closes:
+Sinks, each receiving every span when it closes:
 
-* a worker collect buffer (exclusive — buffered spans travel with the
-  block result instead of being written twice);
 * every active in-memory :class:`Trace` opened by :func:`capture`;
 * the JSON-lines file named by ``REPRO_TRACE`` (append, one line per
   span, flushed — concurrent processes interleave whole lines).
@@ -47,8 +44,6 @@ __all__ = [
     "Trace",
     "span",
     "capture",
-    "collect",
-    "emit_collected",
     "current_span_id",
     "tracing_active",
     "validate_record",
@@ -73,9 +68,6 @@ SPAN_FIELDS: dict[str, type | tuple[type, ...]] = {
 #: Innermost open span in this execution context (nesting).
 _CURRENT: ContextVar[str | None] = ContextVar("repro_obs_current",
                                              default=None)
-#: Worker collect buffer; non-None routes every closing span into it.
-_COLLECT: ContextVar[list | None] = ContextVar("repro_obs_collect",
-                                               default=None)
 
 #: Open in-memory captures (a stack; all of them receive every span).
 _CAPTURES: list["Trace"] = []
@@ -115,13 +107,12 @@ def _next_span_id() -> str:
 def tracing_active() -> bool:
     """Whether any sink would receive a span opened right now.
 
-    This is the disabled-path gate: one contextvar read, one list
-    truthiness check, one environ lookup.  The environ read is *not*
-    cached so tests (and operators) can flip ``REPRO_TRACE`` at any
-    point — matching how every other ``REPRO_*`` knob behaves.
+    This is the disabled-path gate: one list truthiness check, one
+    environ lookup.  The environ read is *not* cached so tests (and
+    operators) can flip ``REPRO_TRACE`` at any point — matching how
+    every other ``REPRO_*`` knob behaves.
     """
-    return (_COLLECT.get() is not None or bool(_CAPTURES)
-            or bool(os.environ.get(TRACE_ENV)))
+    return bool(_CAPTURES) or bool(os.environ.get(TRACE_ENV))
 
 
 class _NoopSpan:
@@ -183,17 +174,11 @@ def span(name: str, **attrs: Any) -> "_Span | _NoopSpan":
 
 
 def current_span_id() -> str | None:
-    """The innermost open span's id (for re-parenting worker spans)."""
+    """The innermost open span's id (None outside any span)."""
     return _CURRENT.get()
 
 
 def _emit(record: dict[str, Any]) -> None:
-    buf = _COLLECT.get()
-    if buf is not None:
-        # Collect mode is exclusive: buffered spans travel back with
-        # the worker's result and are emitted once by the parent.
-        buf.append(record)
-        return
     for trace in _CAPTURES:
         trace.records.append(record)
     path = os.environ.get(TRACE_ENV)
@@ -230,46 +215,6 @@ def capture() -> Iterator[Trace]:
         yield trace
     finally:
         _CAPTURES.remove(trace)
-
-
-@contextmanager
-def collect() -> Iterator[list]:
-    """Buffer spans instead of emitting them (worker-side mode).
-
-    The dispatcher's worker wrapper runs the task under this; the
-    buffered records return with the result slice and the parent
-    process emits them via :func:`emit_collected`.
-
-    The current-span context is cleared for the duration: fork-start
-    workers inherit the parent's contextvars (including whatever span
-    was open at fork), and a buffered span born with that stale parent
-    would dodge :func:`emit_collected`'s re-parenting.  Collect mode
-    is a fresh tree whose roots the parent process reattaches.
-    """
-    buf: list = []
-    token = _COLLECT.set(buf)
-    cur_token = _CURRENT.set(None)
-    try:
-        yield buf
-    finally:
-        _CURRENT.reset(cur_token)
-        _COLLECT.reset(token)
-
-
-def emit_collected(records: list[dict[str, Any]],
-                   parent_id: str | None = None) -> None:
-    """Emit worker-collected spans into the parent's sinks.
-
-    Worker-side root spans (``parent_id is None``) are re-parented
-    under ``parent_id`` — typically the dispatch round's span — so the
-    cross-process tree stays connected.  Span ids embed the worker
-    pid, so no renumbering is needed.
-    """
-    for record in records:
-        if record.get("parent_id") is None and parent_id is not None:
-            record = dict(record)
-            record["parent_id"] = parent_id
-        _emit(record)
 
 
 def validate_record(record: Any) -> list[str]:

@@ -1,11 +1,9 @@
-"""Deterministic fault injection for the parallel substrate.
+"""Deterministic fault injection for the serving daemon.
 
-Every recovery path in :mod:`repro.parallel.resilience` exists because
-of a real failure mode — workers killed by the OOM killer, workers
-wedged on a dying filesystem, ``/dev/shm`` attach races, segment
-creation failing on full tmpfs.  None of those are reproducible on
-demand, so this module makes them *injectable*: the worker and
-shared-memory layers consult named **fault points**, and a
+The ``repro serve`` daemon promises recovery from failure modes that
+are not reproducible on demand — a request that stalls, a batch that
+fails, a cache entry that cannot be read.  This module makes them
+*injectable*: the serving layer consults named **fault points**, and a
 :class:`FaultPlan` parsed from the ``REPRO_FAULT_SPEC`` environment
 variable decides deterministically whether each consultation fires.
 
@@ -13,71 +11,54 @@ Spec grammar (comma-separated entries)::
 
     ACTION@POINT[=SELECTOR][:ARG][*FIRES]
 
-    kill@block=3          worker evaluating block 3 dies (os._exit)
-    hang@block=1:5s       worker evaluating block 1 sleeps 5 seconds
-    raise@attach          shm attach raises InjectedFault
-    fail@segment-create   shm segment creation raises InjectedFault
-    kill@block=0*2        block 0's worker dies on attempts 0 AND 1
+    hang@request=0:200ms  request 0 stalls 200 ms inside its handling
+    kill@request=2        request 2's connection is dropped unanswered
+    raise@batch=1         batch 1 fails with InjectedFault
+    raise@cache-load      every cache lookup raises (treated as a miss)
 
-Fault points currently consulted:
+Fault points, all consulted by :mod:`repro.serve` with
+:func:`matching` — the daemon *interprets* the action in its own
+process rather than executing it:
 
-* ``block`` — in the supervised dispatcher's worker wrapper, before the
-  block body runs; ``SELECTOR`` is the block index, and the *attempt*
-  number threaded in by the dispatcher bounds how often the fault
-  fires (``*FIRES``, default 1 — so a retried block succeeds, exactly
-  like a transient real-world fault).
-* ``attach`` — :func:`repro.parallel.shm.attach`, worker side.
-* ``segment-create`` — :class:`repro.parallel.shm.SharedArrayPack.create`,
-  owner side (fires before any segment is allocated, so nothing leaks).
-* ``request`` / ``batch`` / ``cache-load`` — serving-layer points
-  consulted by the ``repro serve`` daemon (:mod:`repro.serve`).  These
-  are consulted with :func:`matching` rather than :func:`fire`,
-  because the daemon must *interpret* the action in its own process:
-  ``hang@request`` becomes an ``asyncio`` sleep inside request
+* ``request`` — ``hang`` becomes an ``asyncio`` sleep inside request
   handling (driving the deadline path without blocking the loop),
-  ``kill@batch`` kills the worker **pool** under the running batch
-  (``os._exit`` in the daemon would be suicide, not chaos), and
-  ``raise@cache-load`` makes a cache lookup raise — which the cache
-  treats as a miss and recomputes.  ``SELECTOR`` for ``request`` /
-  ``batch`` is the daemon's running request/batch ordinal.
+  ``kill`` abandons the response, ``raise``/``fail`` answer a
+  structured 500;
+* ``batch`` — ``hang`` sleeps before the batch runs; every other
+  action fails the batch's members and counts toward the breaker;
+* ``cache-load`` — a cache lookup raises, which the cache treats as a
+  miss and recomputes.
 
-Actions: ``kill`` (``os._exit``), ``hang`` (sleep ``ARG`` seconds,
-default 30), ``raise`` / ``fail`` (synonyms: raise
-:class:`InjectedFault`).  ``attach`` and ``segment-create`` have no
-attempt counter — their faults fire on every consultation, which is
-what exercises the degradation ladder rather than the retry loop.
+``SELECTOR`` for ``request`` / ``batch`` is the daemon's running
+request/batch ordinal.  Actions: ``kill``, ``hang`` (``ARG`` seconds,
+default 30), ``raise`` / ``fail`` (synonyms).  ``*FIRES`` bounds a
+rule to consultations with ``attempt < FIRES`` (default 1).
 
 Parsing never raises: malformed entries warn once and are dropped, so
 a typo in the spec cannot take down the process it was meant to test.
-The plan is re-parsed whenever the environment value changes (workers
-inherit the spec through the fork/spawn environment).
+The plan is re-parsed whenever the environment value changes.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import warnings
 from dataclasses import dataclass
 
 __all__ = ["FAULT_SPEC_ENV", "InjectedFault", "FaultRule", "FaultPlan",
-           "active_plan", "fire", "matching"]
+           "active_plan", "matching"]
 
 FAULT_SPEC_ENV = "REPRO_FAULT_SPEC"
 
 _ACTIONS = ("kill", "hang", "raise", "fail")
-_POINTS = ("block", "attach", "segment-create",
-           "request", "batch", "cache-load")
-_DEFAULT_HANG_S = 30.0
+_POINTS = ("request", "batch", "cache-load")
 
 
 class InjectedFault(RuntimeError):
-    """The exception a ``raise``/``fail`` fault rule throws.
+    """The exception an injected ``raise``/``fail`` rule surfaces as.
 
-    A plain, picklable ``RuntimeError`` subclass so it crosses the
-    process boundary intact; the resilience layer treats it like any
-    other infrastructure failure (degrade, never mask a real bug with
-    it).
+    The serving layer treats it like any other infrastructure failure
+    (the breaker counts it; it never masks a real bug).
     """
 
     def __init__(self, point: str, detail: str = ""):
@@ -92,8 +73,8 @@ class FaultRule:
     """One parsed spec entry."""
 
     action: str                 # kill | hang | raise | fail
-    point: str                  # block | attach | segment-create
-    selector: int | None = None  # block index, or None = every block
+    point: str                  # request | batch | cache-load
+    selector: int | None = None  # ordinal, or None = every consultation
     arg_s: float | None = None   # hang duration
     fires: int = 1               # fire while attempt < fires
 
@@ -196,34 +177,12 @@ def matching(point: str, *, index: int | None = None,
              attempt: int = 0) -> "FaultRule | None":
     """The first rule matching ``point``, *without* executing it.
 
-    The serving layer's consultation path: the daemon must translate
-    actions into its own failure modes (see the module docstring)
-    instead of letting ``fire`` ``os._exit`` the process hosting the
-    event loop.  Returns ``None`` when nothing matches — the common,
-    free case.
+    The daemon translates the action into its own failure mode (see
+    the module docstring).  Returns ``None`` when nothing matches — the
+    common, free case.
     """
     plan = active_plan()
     for rule in plan.rules:
         if rule.matches(point, index, attempt):
             return rule
     return None
-
-
-def fire(point: str, *, index: int | None = None, attempt: int = 0) -> None:
-    """Consult fault point ``point``; execute any matching rule.
-
-    Free when no spec is set.  ``kill`` never returns; ``hang`` sleeps
-    then returns (the dispatcher's deadline decides whether that was
-    fatal); ``raise``/``fail`` throw :class:`InjectedFault`.
-    """
-    plan = active_plan()
-    for rule in plan.rules:
-        if not rule.matches(point, index, attempt):
-            continue
-        if rule.action == "kill":
-            os._exit(86)
-        if rule.action == "hang":
-            time.sleep(rule.arg_s if rule.arg_s is not None
-                       else _DEFAULT_HANG_S)
-            continue
-        raise InjectedFault(point, detail=f"index={index} attempt={attempt}")

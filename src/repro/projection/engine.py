@@ -23,9 +23,8 @@ across records, so the cube factorizes as
 ``value[s, y, i] = base[s, i] × year_factor[s, y]``
 
 where ``base`` is the ordinary 2-D scenario sweep (one
-:class:`~repro.scenarios.ScenarioCube`, evaluated once — serially or
-over the shared-memory pool) and the year factors are an ``(S, Y)``
-matrix.  A :class:`ProjectionCube` stores exactly that factorization:
+:class:`~repro.scenarios.ScenarioCube`, evaluated once, in-process)
+and the year factors are an ``(S, Y)`` matrix.  A :class:`ProjectionCube` stores exactly that factorization:
 the year axis costs O(S·Y), not O(S·Y·n), and a 10⁵-system fleet
 projects for free once swept.  Refresh scenarios
 (``ScenarioSpec.refresh_embodied``) are the exception — each system
@@ -507,11 +506,8 @@ class ProjectionCube:
         call (the uncertainty rows are year-invariant, so they
         broadcast along the year axis before sampling).  ``method``
         forwards to :func:`repro.uncertainty.mc.mc_band_stack`;
-        ``"shm"`` fans (scenario, year) blocks over the shared-memory
-        pool through the supervised dispatcher
-        (:mod:`repro.parallel.resilience`): crashed or hung workers
-        are retried, and repeated failures degrade to the serial
-        kernel — bit-identical either way.
+        ``"threads"`` fans (scenario, year) blocks over a thread pool
+        — bit-identical either way.
         """
         from repro.uncertainty.mc import mc_band_stack
 

@@ -14,7 +14,7 @@ axis by Top500 ranks.  Reductions go three ways:
   :meth:`bands`, sampled straight from the cube's arrays — no
   estimate objects.  :meth:`bands` draws every scenario from one
   batched kernel (:func:`repro.uncertainty.mc.mc_band_stack`,
-  optionally fanned out over the shared-memory pool) and is
+  optionally fanned out over threads) and is
   bit-identical to calling
   :func:`~repro.core.uncertainty.total_with_uncertainty_arrays` per
   scenario; :meth:`band_stack` exposes the raw statistics.
@@ -199,8 +199,8 @@ class ScenarioCube:
         per-scenario :meth:`band` call with the same seed (the
         seed-stream contract, ``docs/uncertainty.md``).  ``method``
         forwards to :func:`repro.uncertainty.mc.mc_band_stack` —
-        ``"shm"`` fans scenario blocks over the shared-memory pool
-        with serial-fallback identity.
+        ``"threads"`` fans scenario blocks over a thread pool with
+        bit-identical output.
         """
         from repro.uncertainty.mc import mc_band_stack
 

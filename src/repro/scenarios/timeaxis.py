@@ -15,9 +15,8 @@ recorded future fold-in, see ROADMAP).  Then the cube factorizes as
 
 ``value[s, w, i] = base[s, i] × hour_factor[s, w]``
 
-where ``base`` is the ordinary 2-D scenario sweep (evaluated once —
-serially or fanned out over the shared-memory pool through the
-supervised dispatcher, exactly like the year engine) and the hour
+where ``base`` is the ordinary 2-D scenario sweep (evaluated once,
+in-process, exactly like the year engine) and the hour
 factors are an ``(S, W)`` matrix: O(S·W), not O(S·W·n).  Embodied
 carbon is hour-invariant — manufacturing doesn't care when the job
 runs — so only the operational footprint carries factors.
@@ -465,8 +464,8 @@ class ShiftCube:
         Returns a :class:`repro.uncertainty.mc.BandStack` — shape
         ``(S, W)`` for the full cube, ``(S,)`` when ``window`` is
         given — every cell bit-identical to the per-cell :meth:`band`
-        call.  ``method="shm"`` fans cell blocks over the
-        shared-memory pool through the supervised dispatcher.
+        call.  ``method="threads"`` fans cell blocks over a thread
+        pool.
         """
         from repro.uncertainty.mc import mc_band_stack
 

@@ -3,8 +3,8 @@
 A stdlib-only asyncio daemon that keeps fleet state warm between
 requests and coalesces concurrent assess/sweep/band requests into
 single batched kernel calls — with per-request deadlines, bounded
-admission (shed-oldest, 429 + ``Retry-After``), a circuit breaker
-layered over the degradation ladder, checksum-validated result
+admission (shed-oldest, 429 + ``Retry-After``), a circuit breaker,
+checksum-validated result
 caching, crash-safe warm-state rebuild, and graceful SIGTERM drain.
 
 Scale-out (``--workers N``): a supervised replica tier behind one

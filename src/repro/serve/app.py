@@ -252,21 +252,12 @@ class AssessmentServer:
         await self._drained.wait()
 
     async def _janitor(self) -> None:
-        """Periodic crash-hygiene: sweep segments orphaned by dead
-        owners (the counterpart of the at-first-pool-build sweep, for a
-        process that may outlive many pools)."""
-        from repro.parallel import shm as shm_mod
+        """Periodic housekeeping: refresh this replica's tier status, so
+        a breaker flip eventually reaches the aggregate view even
+        without a lifecycle event."""
         while True:
             await asyncio.sleep(self.config.janitor_interval_s)
             obs.inc("serve.janitor_runs")
-            try:
-                shm_mod.sweep_orphaned_segments()
-            except Exception:
-                # Hygiene must never take down the service.
-                pass
-            # Refresh this replica's tier status so a breaker flip
-            # eventually reaches the aggregate view even without
-            # a lifecycle event.
             self._publish_replica_status()
 
     def _publish_replica_status(self) -> None:
@@ -469,8 +460,7 @@ class AssessmentServer:
 
     def _readyz(self) -> dict[str, Any]:
         ready = not self.draining and self.breaker.state != "open"
-        report = doctor_report(sweep=False,
-                               cache_dir=self.config.cache_dir,
+        report = doctor_report(cache_dir=self.config.cache_dir,
                                cache_max_bytes=self.config.cache_l2_bytes)
         report["serve"] = self._healthz()
         report["serve"]["admission"] = self.admission.stats()

@@ -30,17 +30,15 @@ import dataclasses
 import enum
 import json
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro import obs
-from repro.errors import DeadlineExceededError, FanOutError, ReproError
+from repro.errors import DeadlineExceededError, ReproError
 from repro.parallel import faults
-from repro.parallel import pool as pool_mod
-from repro.parallel.resilience import deadline_scope, scope_remaining_s
+from repro.parallel.resilience import check_deadline, deadline_scope
 from repro.serve.cache import canonical_digest
 
 __all__ = ["RequestError", "ParsedRequest", "BatchEntry", "Batcher",
@@ -66,10 +64,9 @@ ACCEPTANCE_GRID_AXES: dict[str, tuple[float, ...]] = {
 _FOOTPRINTS = ("operational", "embodied", "embodied_annualized")
 
 #: Exceptions that count as *infrastructure* failure for the breaker
-#: (mirrors the ladder's set: a client's bad input must never trip the
-#: service into degraded mode).
-_INFRA_FAILURES = (FanOutError, faults.InjectedFault, BrokenProcessPool,
-                   pool_mod.WorkerCrashError, OSError, MemoryError)
+#: (a client's bad input must never trip the service into degraded
+#: mode).
+_INFRA_FAILURES = (faults.InjectedFault, OSError, MemoryError)
 
 
 class RequestError(ReproError):
@@ -353,8 +350,9 @@ def evaluate_group(records, parsed_list, *, serial_only: bool,
                    budget_s: "float | None") -> list[str]:
     """One kernel call for a group of same-fleet requests.
 
-    Runs in an executor thread under the group's
-    :func:`deadline_scope`.  Returns one payload JSON string per
+    Runs in an executor thread under a :func:`deadline_scope` of
+    ``budget_s`` (``None``: unbounded), checked between requests and
+    inside the band kernel.  Returns one payload JSON string per
     request, each computed from that request's own row slice — the
     serial reference for request *i* is this same function called with
     ``[parsed_list[i]]``, which is exactly what the coalescing
@@ -364,13 +362,6 @@ def evaluate_group(records, parsed_list, *, serial_only: bool,
     """
     from repro.scenarios import sweep
 
-    def check_budget() -> None:
-        left = scope_remaining_s()
-        if left is not None and left <= 0:
-            obs.inc("fanout.deadline_scope_exceeded")
-            raise DeadlineExceededError(label="serve-batch",
-                                        budget_s=budget_s or 0.0)
-
     specs_all: list = []
     slices: list[slice] = []
     for parsed in parsed_list:
@@ -378,13 +369,14 @@ def evaluate_group(records, parsed_list, *, serial_only: bool,
         slices.append(slice(len(specs_all), len(specs_all) + len(specs)))
         specs_all.extend(specs)
 
-    check_budget()
-    cube = sweep(list(records), tuple(specs_all))
     band_method = "serial" if serial_only else "auto"
     payloads = []
-    for parsed, sl in zip(parsed_list, slices):
-        check_budget()
-        payloads.append(_payload(parsed, cube, sl, band_method))
+    with deadline_scope(budget_s):
+        check_deadline("serve-batch")
+        cube = sweep(list(records), tuple(specs_all))
+        for parsed, sl in zip(parsed_list, slices):
+            check_deadline("serve-batch")
+            payloads.append(_payload(parsed, cube, sl, band_method))
     return payloads
 
 
@@ -489,16 +481,12 @@ class Batcher:
 
         rule = faults.matching("batch", index=ordinal)
         if rule is not None:
-            if rule.action == "kill":
-                # In-daemon interpretation of a kill: the pool dies
-                # under the batch (the daemon itself must survive to
-                # observe the recovery).
-                obs.inc("serve.fault_pool_kills")
-                pool_mod.kill_pool()
-            elif rule.action == "hang":
+            if rule.action == "hang":
                 await asyncio.sleep(rule.arg_s if rule.arg_s is not None
                                     else 30.0)
             else:
+                # kill/raise/fail: the batch fails in-process (the
+                # daemon itself must survive to observe the recovery).
                 exc = faults.InjectedFault("batch", detail=f"batch={ordinal}")
                 self.breaker.record_failure()
                 for entry in live:
@@ -524,12 +512,11 @@ class Batcher:
         context = contextvars.copy_context()
 
         def work() -> list[str]:
-            with deadline_scope(budget_s):
-                with obs.span("serve.batch", requests=len(parsed_list),
-                              serial_only=serial_only):
-                    return evaluate_group(records, parsed_list,
-                                          serial_only=serial_only,
-                                          budget_s=budget_s)
+            with obs.span("serve.batch", requests=len(parsed_list),
+                          serial_only=serial_only):
+                return evaluate_group(records, parsed_list,
+                                      serial_only=serial_only,
+                                      budget_s=budget_s)
 
         start = time.monotonic()
         try:
@@ -538,9 +525,9 @@ class Batcher:
             self._split_expired(entries)
             return
         except _INFRA_FAILURES as exc:
-            # Batch-level infrastructure failure that survived the
-            # ladder: count it toward the breaker, drop the warm state
-            # (single-flight rebuilds it), fail the members.
+            # Batch-level infrastructure failure: count it toward the
+            # breaker, drop the warm state (single-flight rebuilds it),
+            # fail the members.
             obs.inc("serve.batch_failures")
             self.breaker.record_failure()
             self.warm.invalidate(entries[0].fleet_key)

@@ -8,26 +8,20 @@ probe logic lives here once, as :func:`doctor_report`, and every
 consumer renders the same dictionary.
 
 The JSON schema is **stable**: keys are only ever added, never renamed
-or removed (asserted by ``tests/serve/test_health.py``).  Top-level
-keys::
+or removed without a ``schema_version`` bump (asserted by
+``tests/serve/test_health.py``).  Top-level keys::
 
-    schema_version  int   — bumped only on breaking changes (currently 1)
+    schema_version  int   — bumped only on breaking changes (currently 2;
+                    version 1 also carried ``pool``, ``shm``, ``ladder``
+                    and ``janitor``, which went with the process fan-out)
     version         str   — the repro package version
-    pool            {available, disabled} — ``available`` is predicted
-                    by :func:`repro.parallel.pool.pool_status`; no
-                    probe ever builds a pool
-    shm             {available, registry_dir, live_segments}
-    ladder          {latched: [rung...], failures: {rung: count}}
     faults          {active_rules}
     cache_tier      {l2_dir, l2_entries, l2_bytes, l2_max_bytes,
                      l2_poisoned, l2_evictions}
-    janitor         {swept: [segment...]} — only when sweep=True
     counters        {name: value}         — the obs counter snapshot
 
-``sweep=True`` additionally runs the orphaned-segment janitor (the
-CLI's behavior, and the daemon's periodic task); ``/readyz`` polls with
-``sweep=False`` so a probe every few seconds never touches the
-registry directory.
+Building the report has no side effects: ``/readyz`` may poll it every
+few seconds.
 
 The ``cache_tier`` section describes the shared L2 result cache
 (``docs/serving.md``): the daemon reports its configured directory;
@@ -54,42 +48,22 @@ __all__ = ["SCHEMA_VERSION", "CACHE_DIR_ENV", "PROMETHEUS_CONTENT_TYPE",
 CACHE_DIR_ENV = "REPRO_SERVE_CACHE_DIR"
 
 #: Bumped only when a key is renamed or removed (never for additions).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
-def doctor_report(*, registry_dir: "str | None" = None,
-                  sweep: bool = False,
-                  cache_dir: "str | None" = None,
+def doctor_report(*, cache_dir: "str | None" = None,
                   cache_max_bytes: "int | None" = None) -> dict[str, Any]:
-    """The parallel-substrate health report as one plain-data dict.
+    """The health report as one plain-data dict.
 
     Everything in it is JSON-serializable (asserted in tests), so the
     same object feeds ``repro doctor --json``, the human table, and
     the daemon's health endpoints.
     """
     from repro.parallel import faults as faults_mod
-    from repro.parallel import pool as pool_mod
-    from repro.parallel import resilience
-    from repro.parallel import shm as shm_mod
 
-    report: dict[str, Any] = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "pool": {
-            # A probe, never a spawn: asking must not build the pool.
-            "available": bool(pool_mod.pool_status(None)["available"]),
-            "disabled": bool(pool_mod.processes_disabled()),
-        },
-        "shm": {
-            "available": bool(shm_mod.shm_available()),
-            "registry_dir": str(shm_mod.registry_path().parent),
-            "live_segments": len(shm_mod.live_owned_segments()),
-        },
-        "ladder": {
-            "latched": sorted(resilience.latched_rungs()),
-            "failures": {name: int(count) for name, count
-                         in sorted(resilience.rung_failures().items())},
-        },
         "faults": {
             "active_rules": len(faults_mod.active_plan().rules),
         },
@@ -98,10 +72,6 @@ def doctor_report(*, registry_dir: "str | None" = None,
         "counters": {name: value for name, value
                      in obs.metrics_snapshot().items()},
     }
-    if sweep:
-        swept = shm_mod.sweep_orphaned_segments(registry_dir=registry_dir)
-        report["janitor"] = {"swept": list(swept)}
-    return report
 
 
 def _cache_tier_section(*, cache_dir: "str | None",
@@ -124,20 +94,7 @@ def _cache_tier_section(*, cache_dir: "str | None",
 
 def render_doctor_table(report: dict[str, Any]) -> str:
     """The human ``repro doctor`` rendering of one report dict."""
-    lines = ["repro doctor — parallel substrate", ""]
-    pool = report["pool"]
-    lines.append(f"  process pool : "
-                 f"{'available' if pool['available'] else 'unavailable'}"
-                 f"{' (disabled by env)' if pool['disabled'] else ''}")
-    shm = report["shm"]
-    lines.append(f"  shared memory: "
-                 f"{'available' if shm['available'] else 'unavailable'}")
-    lines.append(f"  registry dir : {shm['registry_dir']}")
-    lines.append(f"  live segments: {shm['live_segments']} "
-                 f"owned by this process")
-    latched = report["ladder"]["latched"]
-    lines.append(f"  ladder state : "
-                 f"{('latched: ' + ', '.join(latched)) if latched else 'clean'}")
+    lines = ["repro doctor — service state", ""]
     n_rules = report["faults"]["active_rules"]
     lines.append(f"  fault plan   : "
                  f"{f'{n_rules} rule(s) active' if n_rules else 'none'}")
@@ -153,14 +110,6 @@ def render_doctor_table(report: dict[str, Any]) -> str:
                 f"{tier['l2_bytes']} B used, "
                 f"{tier['l2_poisoned']} poisoned, "
                 f"{tier['l2_evictions']} evicted")
-    janitor = report.get("janitor")
-    if janitor is not None:
-        swept = janitor["swept"]
-        if swept:
-            lines.append(f"  janitor      : unlinked {len(swept)} orphaned "
-                         f"segment(s): {', '.join(swept)}")
-        else:
-            lines.append("  janitor      : no orphaned segments")
 
     lines.append("")
     lines.append("repro doctor — activity (process lifetime)")

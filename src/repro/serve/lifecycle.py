@@ -3,11 +3,10 @@
 Three concerns that all answer "should this service accept work, and
 on what substrate":
 
-* :class:`CircuitBreaker` — layered *over* the PR-6 degradation-ladder
-  latches.  The ladder protects one dispatch; the breaker protects the
-  service: repeated batch-level infrastructure failures first trip it
-  to **degraded** (new batches run serial-only — the floor rung is the
-  one substrate that has never been the problem), then to **open**
+* :class:`CircuitBreaker` — protects the service: repeated
+  batch-level infrastructure failures first trip it to **degraded**
+  (new batches pin the band kernel to its serial path), then to
+  **open**
   (new requests refused outright with a cooldown-derived
   ``Retry-After``).  After the cooldown one probe batch is allowed
   (half-open, still serial); enough consecutive successes close it.
@@ -16,7 +15,7 @@ on what substrate":
 * :class:`WarmState` — the fleet records (and through them the
   identity-keyed :func:`~repro.core.vectorized.fleet_frame` cache)
   kept alive between requests, with **single-flight** rebuild: after a
-  pool kill or frame invalidation, exactly one rebuilder runs per
+  batch failure invalidates it, exactly one rebuilder runs per
   fleet while concurrent requests await its result, so a crash never
   triggers a thundering herd of frame extractions.
 """

@@ -20,8 +20,7 @@ Socket strategy, in preference order:
   (``pass_fds`` keeps the fd number stable across ``exec``); replicas
   accept-share from the one listener.
 
-Supervision reuses the resilience posture of
-:mod:`repro.parallel.resilience`: a dead replica is respawned with
+Supervision: a dead replica is respawned with
 bounded exponential backoff (reset after a stable-uptime window), a
 replica that dies instantly enough times in a row fails the whole
 tier loudly instead of flapping forever, and SIGTERM drains the tier

@@ -5,7 +5,7 @@ fleet band (one fleet, one draw); this package owns the *engine* that
 computes whole stacks of them — every ``(scenario[, year])`` cell of a
 :class:`~repro.scenarios.ScenarioCube` or
 :class:`~repro.projection.ProjectionCube` from one vectorized draw,
-optionally fanned out over the shared-memory pool.  See
+optionally fanned out over threads.  See
 ``docs/uncertainty.md`` for the seed-stream contract that keeps every
 cell bit-identical to its per-fleet reference call.
 """

@@ -18,39 +18,37 @@ consumes a prefix of the *same* standard-normal stream:
 ziggurat standard normal per output element in C order and computes
 ``loc + scale·z`` elementwise — exactly ``v + s * z`` where ``z`` is
 the first ``m·k`` values of ``default_rng(seed).standard_normal``.
-The batched kernel therefore draws the stream **once**, to the longest
-cell's length, and every cell slices its own prefix:
+The batched kernel therefore walks the stream **once**, to the longest
+cell's length, and every cell reads its own prefix:
 
 ``totals[c] = clip(v_c + s_c · z[:m·k_c].reshape(m, k_c), 0).sum(1)``
 
 which is bit-identical to the per-cell call whatever the batch shape —
 a cell's band does not depend on which other cells ride along, on the
-cell order, or on whether a worker process or the parent computed it.
-``tests/uncertainty/test_mc_engine.py`` asserts all of this against
-:func:`band_scalar_reference`, the frozen reference semantics.
+cell order, or on which thread computed it.  The stream is never
+materialized whole: it is drawn in windows of about a megabyte, and
+each cell evaluates the sample rows that lie wholly inside the current
+window.  ``tests/uncertainty/test_mc_engine.py`` asserts all of this
+against :func:`band_scalar_reference`, the frozen reference semantics.
 
 Fan-out
 -------
 
 Cells are embarrassingly parallel (each regenerates its prefix from
-the seed), so ``method="shm"`` ships contiguous cell blocks over the
-persistent :mod:`repro.parallel.pool`: the value/uncertainty stack
-crosses the process boundary as one shared-memory segment, workers
-write their band statistics into a shared output segment, and both
-segments are unlinked in ``finally`` — a crashing worker leaks
-nothing.  Dispatch goes through
-:func:`repro.parallel.resilience.supervised_map`, so a crashed or
-hung worker costs one pool rebuild and a retry of the lost cell
-blocks, and repeated shm-path failures latch the degradation ladder
-down to the serial kernel — every path bit-identical (see
-``docs/robustness.md``).  ``method="auto"`` engages the pool only
-when the draw volume is worth a dispatch; every unavailability
-(``REPRO_DISABLE_SHM``, ``REPRO_DISABLE_PROCESS_POOL``, single-core
-hosts) degrades to the serial kernel with identical output.
+the seed), so ``method="threads"`` runs contiguous cell blocks on a
+``ThreadPoolExecutor``: each block walks its own stream and writes its
+rows of one statistics array.  The kernel is numpy ufunc and RNG work
+that releases the GIL, so no process, shared-memory segment or
+supervisor is involved, and there is no worker that can die or hang.
+``method="auto"`` fans out only when the draw volume repays the thread
+start; ``"shm"``, the name of the retired process fan-out, is accepted
+as a synonym of ``"threads"``.
 """
 
 from __future__ import annotations
 
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +59,7 @@ from repro.core.uncertainty import (
     DEFAULT_MC_SEED,
     UncertaintyBand,
 )
+from repro.parallel.resilience import check_deadline
 
 __all__ = [
     "BandStack",
@@ -74,22 +73,12 @@ __all__ = [
 #: scalar reference — one constant, one float-op sequence).
 _Z90 = 1.645
 
-#: ``method="auto"`` takes the pool only past this many scalar draws
-#: (cells × samples × mean covered count): below it, dispatch overhead
-#: beats the arithmetic it would parallelize.  ``REPRO_MC_SHM_MIN_DRAWS``
-#: overrides per host.
-_SHM_MIN_DRAWS = 16_000_000
+#: ``method="auto"`` fans out to threads only past this many scalar
+#: draws (cells × samples × mean covered count): below it, starting the
+#: threads costs more than the arithmetic it would parallelize.
+_FANOUT_MIN_DRAWS = 16_000_000
 
-#: Environment override for :data:`_SHM_MIN_DRAWS`.
-SHM_MIN_DRAWS_ENV = "REPRO_MC_SHM_MIN_DRAWS"
-
-
-def _shm_min_draws() -> float:
-    from repro.envflags import env_float
-
-    return env_float(SHM_MIN_DRAWS_ENV, _SHM_MIN_DRAWS, minimum=0.0)
-
-_METHODS = ("auto", "serial", "shm")
+_METHODS = ("auto", "serial", "threads", "shm")
 _KINDS = ("quantile", "normal")
 
 
@@ -181,27 +170,15 @@ def _cell_counts(values2d: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _draw_stream(n_samples: int, k_max: int, seed: int) -> np.ndarray:
-    """The shared standard-normal stream, to the longest cell's length.
-
-    Drawn flat: ``standard_normal`` fills in C order element by
-    element, so ``z[:m·k].reshape(m, k)`` is exactly the draw a
-    ``(m, k)``-shaped call on a fresh generator would produce — the
-    prefix property every cell's bit-identity rests on.
-    """
-    obs.inc("mc.draws", n_samples * k_max)
-    with obs.span("mc.draw", n_samples=n_samples, k_max=k_max):
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal(n_samples * k_max)
-
-
-#: Bytes per evaluation slab.  A cell's ``(rows, k)`` slab of the
-#: stream is evaluated in one scratch buffer of at most this size, so
-#: the multiply/add/clip/sum passes stay in a core's L2 (2 MiB per core
-#: on a 2-core x86 container) instead of streaming a ~(1000, 5000)
-#: matrix through memory four times.  256 KiB measured within 10 % of
-#: this; 64 KiB (single-row slabs at 5,000 systems) lost to per-call
-#: overhead.
+#: Bytes per stream window and per evaluation slab.  The seeded stream
+#: is drawn one window of about this size at a time, and a cell's
+#: ``(rows, k)`` slab of a window is evaluated in one scratch buffer of
+#: at most this size, so the draw and the multiply/add/clip/sum passes
+#: stay in a core's L2 (2 MiB per core on a 2-core x86 container)
+#: instead of streaming a ~(1000, 5000) matrix through memory.  256 KiB
+#: windows measured 15 % slower end to end (per-window, per-cell
+#: overhead); 64 KiB slabs (single rows at 5,000 systems) lost to
+#: per-call overhead.
 _SLAB_BYTES = 1 << 20
 
 
@@ -210,49 +187,42 @@ def _slab_rows(n_samples: int, k: int) -> int:
     return max(1, min(n_samples, _SLAB_BYTES // (8 * k)))
 
 
-def _stream_and_scratch(values2d: np.ndarray, n_samples: int, seed: int,
-                        counts: np.ndarray | None,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """A block's stream and the one scratch buffer its cells reuse.
-
-    A cell with ``k ≤ k_max`` covered systems fills ``rows·k`` scratch
-    slots: at most ``_SLAB_BYTES // 8`` (and its whole ``n_samples·k``
-    draw), or one ``k``-wide row when a row alone outgrows the slab.
-    """
-    if counts is None:
-        counts = _cell_counts(values2d)
-    k_max = int(counts.max())
-    scratch = np.empty(max(k_max, min(n_samples * k_max,
-                                      _SLAB_BYTES // 8)))
-    return _draw_stream(n_samples, k_max, seed), scratch
+def _window_len(n_samples: int, k_max: int) -> int:
+    """Stream entries per window: about :data:`_SLAB_BYTES`, at least
+    one row of the widest cell, at most the whole stream."""
+    return min(n_samples * k_max, max(k_max, _SLAB_BYTES // 8))
 
 
-def _cell_totals(values_row: np.ndarray, unc_row: np.ndarray,
-                 z: np.ndarray, n_samples: int, scratch: np.ndarray,
-                 out: np.ndarray) -> None:
-    """One cell's total draws from its stream prefix, into ``out``.
-
-    The compressed ``v + s·z`` / clip / row-sum sequence of the
-    reference draw — the one place the bit-identity-critical float ops
-    live (both :func:`sample_totals` and the band statistics reduce
-    over exactly this).  Evaluation walks the sample axis in slabs of
-    at most :data:`_SLAB_BYTES`, each computed in place in ``scratch``
-    (the same multiply, add, clip and row sum the reference makes,
-    with no temporaries): every sample row is still computed and
-    reduced whole, so each totals entry is bit-identical to the
-    one-shot ``(n_samples, k)`` evaluation.  The per-cell inputs are
-    built in place too (``u·v`` is ``v·u`` bit for bit), so a cell
-    allocates only its ``k`` values and sigmas.
-    """
+def _cell_inputs(values_row: np.ndarray, unc_row: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """A cell's covered values and sigmas, built in place (``u·v`` is
+    ``v·u`` bit for bit): ``k`` values and ``k`` sigmas, nothing more."""
     covered = ~np.isnan(values_row)
     v = values_row[covered]
     sigmas = unc_row[covered]
     np.multiply(sigmas, v, out=sigmas)
     np.divide(sigmas, _Z90, out=sigmas)
+    return v, sigmas
+
+
+def _cell_rows(v: np.ndarray, sigmas: np.ndarray, z: np.ndarray,
+               rows: int, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Total draws of ``out.size`` consecutive sample rows, into ``out``.
+
+    ``z`` holds exactly those rows' stream entries.  This is the
+    compressed ``v + s·z`` / clip / row-sum sequence of the reference
+    draw — the one place the bit-identity-critical float ops live
+    (both :func:`sample_totals` and the band statistics reduce over
+    exactly this).  The rows are evaluated ``rows`` at a time, each
+    slab computed in place in ``scratch`` (the same multiply, add, clip
+    and row sum the reference makes, with no temporaries): every sample
+    row is still computed and reduced whole, so each total is
+    bit-identical to the one-shot ``(n_samples, k)`` evaluation.
+    """
     k = v.size
-    rows = _slab_rows(n_samples, k)
-    for a in range(0, n_samples, rows):
-        b = min(a + rows, n_samples)
+    n = out.size
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
         buf = scratch[:(b - a) * k].reshape(b - a, k)
         np.multiply(sigmas, z[a * k:b * k].reshape(b - a, k), out=buf)
         np.add(v, buf, out=buf)
@@ -260,19 +230,67 @@ def _cell_totals(values_row: np.ndarray, unc_row: np.ndarray,
         np.sum(buf, axis=1, out=out[a:b])
 
 
-def _block_totals(values2d: np.ndarray, unc2d: np.ndarray,
-                  n_samples: int, seed: int,
-                  counts: np.ndarray | None = None) -> np.ndarray:
-    """MC total draws for every cell of a ``(C, n)`` stack → ``(C, m)``.
+def _walk_stream(values2d: np.ndarray, unc2d: np.ndarray, n_samples: int,
+                 seed: int, counts: np.ndarray,
+                 reduce: "Callable[[int, np.ndarray], None] | None" = None,
+                 ) -> np.ndarray:
+    """Every cell's total draws, from the seeded stream drawn in windows.
 
-    One stream draw for the whole block; per cell, the reference
-    sequence of :func:`_cell_totals`, written straight into its row.
+    The stream is ``default_rng(seed).standard_normal``, drawn window
+    by window with ``out=``: chunked draws continue one generator, so
+    the windows concatenate to exactly the one-shot stream.  A window
+    holds stream entries ``[w0, w1)``; cell ``c`` evaluates the sample
+    rows ``[a, b)`` whose entries ``[a·k_c, b·k_c)`` lie wholly inside
+    it, and the entries of rows not yet complete (fewer than ``k_max``)
+    carry over to the front of the next window.  A cell's inputs are
+    built when it first has rows in a window and dropped when it
+    completes.  The deadline scope is checked before every window.
+
+    Without ``reduce`` the ``(C, n_samples)`` totals are returned.  With
+    it, ``reduce(c, totals_row)`` runs as soon as cell ``c`` is
+    complete; when the whole stream fits in one window every cell
+    reuses one totals row, and only multi-window stacks hold
+    ``(C, n_samples)`` totals (far less than the stream itself).
     """
-    z, scratch = _stream_and_scratch(values2d, n_samples, seed, counts)
-    totals = np.empty((values2d.shape[0], n_samples))
-    for c in range(values2d.shape[0]):
-        _cell_totals(values2d[c], unc2d[c], z, n_samples, scratch,
-                     totals[c])
+    n_cells = values2d.shape[0]
+    k_max = int(counts.max())
+    n_stream = n_samples * k_max
+    width = _window_len(n_samples, k_max)
+    obs.inc("mc.draws", n_stream)
+    reuse = reduce is not None and width == n_stream
+    totals = np.empty((1 if reuse else n_cells, n_samples))
+    window = np.empty(width)
+    scratch = np.empty(width)
+    rng = np.random.default_rng(seed)
+    done = [0] * n_cells        # sample rows evaluated, per cell
+    inputs: list = [None] * n_cells  # (v, sigmas) of a started cell
+    w0 = w1 = 0                 # the window holds stream entries [w0, w1)
+    while w1 < n_stream:
+        check_deadline("mc-bands")
+        held = w1 - w0
+        w1 = min(w0 + width, n_stream)
+        rng.standard_normal(out=window[held:w1 - w0])
+        next_w0 = w1
+        for c in range(n_cells):
+            k = int(counts[c])
+            a = done[c]
+            b = min(n_samples, w1 // k)
+            if b > a:
+                if inputs[c] is None:
+                    inputs[c] = _cell_inputs(values2d[c], unc2d[c])
+                v, sigmas = inputs[c]
+                row = totals[0 if reuse else c]
+                _cell_rows(v, sigmas, window[a * k - w0:b * k - w0],
+                           _slab_rows(n_samples, k), scratch, row[a:b])
+                done[c] = b
+                if b == n_samples:
+                    inputs[c] = None
+                    if reduce is not None:
+                        reduce(c, row)
+            if b < n_samples:
+                next_w0 = min(next_w0, b * k)
+        window[:w1 - next_w0] = window[next_w0 - w0:w1 - w0]
+        w0 = next_w0
     return totals
 
 
@@ -302,95 +320,66 @@ def sample_totals(values, unc, n_samples: int = DEFAULT_MC_SAMPLES,
             with no covered system.
     """
     values2d, unc2d, cell_shape = _validate_stack(values, unc, n_samples)
-    totals = _block_totals(values2d, unc2d, n_samples, seed)
+    totals = _walk_stream(values2d, unc2d, n_samples, seed,
+                          _cell_counts(values2d))
     return totals.reshape(cell_shape + (n_samples,))
 
 
 def _stats_for_block(values2d: np.ndarray, unc2d: np.ndarray,
-                     n_samples: int, seed: int,
-                     out: np.ndarray | None = None,
-                     counts: np.ndarray | None = None) -> np.ndarray:
-    """Band statistics for a block: ``(C, 5)`` mean/std/p5/p50/p95.
+                     n_samples: int, seed: int, counts: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """Band statistics for a block into ``out``: ``(C, 5)``
+    mean/std/p5/p50/p95.
 
-    Reduces cell by cell into one reused ``n_samples`` totals buffer —
-    the same :func:`np.percentile` / ``mean`` / ``std`` calls the
-    reference makes over the same :func:`_cell_totals` draws, so the
-    statistics are bit-identical too.  Cell-outer order keeps only one
-    cell's totals alive: a slab-outer loop would hold ``(C, n_samples)``
-    of them, which a daemon answering band requests pays in RSS.
+    The same :func:`np.percentile` / ``mean`` / ``std`` calls the
+    reference makes over the same :func:`_cell_rows` draws, so the
+    statistics are bit-identical too.
     """
-    z, scratch = _stream_and_scratch(values2d, n_samples, seed, counts)
-    totals = np.empty(n_samples)
-    stats = out if out is not None else np.empty((values2d.shape[0], 5))
+    def reduce(c: int, totals: np.ndarray) -> None:
+        p5, p50, p95 = np.percentile(totals, [5.0, 50.0, 95.0])
+        out[c] = (totals.mean(), totals.std(), p5, p50, p95)
+
     with obs.span("mc.stats", n_cells=int(values2d.shape[0]),
                   n_samples=n_samples):
-        for c in range(values2d.shape[0]):
-            _cell_totals(values2d[c], unc2d[c], z, n_samples, scratch,
-                         totals)
-            p5, p50, p95 = np.percentile(totals, [5.0, 50.0, 95.0])
-            stats[c, 0] = totals.mean()
-            stats[c, 1] = totals.std()
-            stats[c, 2] = p5
-            stats[c, 3] = p50
-            stats[c, 4] = p95
-    return stats
+        _walk_stream(values2d, unc2d, n_samples, seed, counts, reduce)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory fan-out
+# Thread fan-out
 # ---------------------------------------------------------------------------
 
-def _band_block_worker(task: tuple) -> None:
-    """Pool-worker body: band statistics for one contiguous cell block.
+def _stats_threads(values2d: np.ndarray, unc2d: np.ndarray, n_samples: int,
+                   seed: int, counts: np.ndarray,
+                   max_workers: int | None) -> np.ndarray:
+    """The ``method="threads"`` path: one thread per contiguous cell block.
 
-    Attaches the shared value/uncertainty stack zero-copy, regenerates
-    its cells' stream prefixes from the (shipped) seed, and writes its
-    statistics rows straight into the shared output segment.  Block
-    boundaries cannot change a bit of output: every cell's prefix
-    depends only on the seed and the cell's own covered count.
+    Each block walks its own seeded stream and writes its slice of one
+    ``(C, 5)`` statistics array.  The window kernel is numpy ufunc and
+    RNG work that releases the GIL, so blocks on separate cores run
+    concurrently.  Every block runs in its own copy of the caller's
+    context, so the open ``mc.band_stack`` span and a serve deadline
+    scope reach the pool threads.  A block's exception propagates
+    unchanged.
     """
-    in_handle, out_handle, c0, c1, n_samples, seed = task
-    from repro.parallel import shm as shm_mod
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
 
-    arrays = shm_mod.attach(in_handle)
-    out = shm_mod.attach(out_handle)
-    _stats_for_block(np.array(arrays["values"][c0:c1]),
-                     np.array(arrays["unc"][c0:c1]),
-                     n_samples, seed, out=out["stats"][c0:c1])
-
-
-def _stats_shm(values2d: np.ndarray, unc2d: np.ndarray, n_samples: int,
-               seed: int, max_workers: int | None) -> np.ndarray | None:
-    """The ``method="shm"`` path; ``None`` = take the serial kernel."""
-    import os
-
-    from repro.parallel import pool as pool_mod
-    from repro.parallel import shm as shm_mod
     from repro.parallel.chunking import chunk_indices
 
-    n_cells = values2d.shape[0]
-    if n_cells < 2 or not shm_mod.shm_available() \
-            or not pool_mod.pool_available(max_workers):
-        return None
-    workers = max_workers or os.cpu_count() or 1
-    in_pack = shm_mod.SharedArrayPack.create(
-        {"values": values2d, "unc": unc2d}, readonly=True)
-    try:
-        out_pack = shm_mod.SharedArrayPack.create(
-            {"stats": np.empty((n_cells, 5))})
-        try:
-            tasks = [(in_pack.handle, out_pack.handle, c0, c1,
-                      n_samples, seed)
-                     for c0, c1 in chunk_indices(n_cells, workers)]
-            from repro.parallel import resilience
-            resilience.supervised_map(_band_block_worker, tasks,
-                                      max_workers=max_workers,
-                                      label="mc-bands")
-            return np.array(out_pack.arrays()["stats"])
-        finally:
-            out_pack.unlink()
-    finally:
-        in_pack.unlink()
+    stats = np.empty((values2d.shape[0], 5))
+    blocks = chunk_indices(values2d.shape[0],
+                           max_workers or os.cpu_count() or 1)
+    obs.inc("fanout.blocks_dispatched", len(blocks))
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run,
+                               _stats_for_block, values2d[c0:c1],
+                               unc2d[c0:c1], n_samples, seed,
+                               counts[c0:c1], stats[c0:c1])
+                   for c0, c1 in blocks]
+        for future in futures:
+            future.result()
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +471,7 @@ def mc_band_stack(values, unc, *, n_samples: int = DEFAULT_MC_SAMPLES,
 
     The batched replacement for looping
     :func:`~repro.core.uncertainty.total_with_uncertainty_arrays` over
-    scenarios (or scenario × year cells): one stream draw, every band.
+    scenarios (or scenario × year cells): one stream walk, every band.
 
     Args:
         values: carbon values, shape ``(..., n)``; ``nan`` = uncovered.
@@ -490,12 +479,13 @@ def mc_band_stack(values, unc, *, n_samples: int = DEFAULT_MC_SAMPLES,
         n_samples: draws per cell.
         seed: stream seed (``DEFAULT_MC_SEED`` reproduces every
             published band).
-        method: ``"serial"`` computes in-process; ``"shm"`` fans cell
-            blocks over the shared-memory pool (identical output,
-            serial fallback when the substrate is unavailable);
-            ``"auto"`` picks ``"shm"`` only for stacks whose draw
-            volume repays the dispatch.
-        max_workers: worker count for the pool path.
+        method: ``"serial"`` computes in the calling thread;
+            ``"threads"`` fans contiguous cell blocks over a thread
+            pool (``"shm"`` is a synonym); ``"auto"`` picks
+            ``"threads"`` only for stacks whose draw volume repays the
+            thread start.
+        max_workers: thread count for the fan-out (default: the CPU
+            count).
 
     Returns:
         A :class:`BandStack` with the stack's cell shape.  Every cell
@@ -505,11 +495,9 @@ def mc_band_stack(values, unc, *, n_samples: int = DEFAULT_MC_SAMPLES,
     Raises:
         ValueError: on shape mismatch, non-positive samples, an
             unknown method, or a cell with no covered system.
-
-    Worker crashes and hangs are handled by the supervised dispatcher
-    (retry lost blocks, rebuild the pool, degrade to the serial kernel
-    after repeated failures) — they do not escape this call, and no
-    shared-memory segment is leaked.
+        repro.errors.DeadlineExceededError: when an enclosing
+            :func:`~repro.parallel.resilience.deadline_scope` runs out
+            (checked before every stream window, on every method).
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; "
@@ -519,20 +507,14 @@ def mc_band_stack(values, unc, *, n_samples: int = DEFAULT_MC_SAMPLES,
 
     with obs.span("mc.band_stack", n_cells=int(values2d.shape[0]),
                   n_samples=n_samples, method=method):
-        if method == "shm" or (
+        if method in ("threads", "shm") or (
                 method == "auto"
-                and float(counts.sum()) * n_samples >= _shm_min_draws()):
-            from repro.parallel import resilience
-            stats = resilience.run_ladder(
-                (("shm", lambda: _stats_shm(values2d, unc2d, n_samples,
-                                            seed, max_workers)),
-                 ("serial", lambda: _stats_for_block(values2d, unc2d,
-                                                     n_samples, seed,
-                                                     counts=counts))),
-                label="mc-bands")
+                and float(counts.sum()) * n_samples >= _FANOUT_MIN_DRAWS):
+            stats = _stats_threads(values2d, unc2d, n_samples, seed,
+                                   counts, max_workers)
         else:
             stats = _stats_for_block(values2d, unc2d, n_samples, seed,
-                                     counts=counts)
+                                     counts, np.empty((counts.size, 5)))
 
     return BandStack(
         mean_mt=stats[:, 0].reshape(cell_shape),

@@ -1,9 +1,8 @@
-"""The span tracer: sinks, nesting, worker collect mode, the schema.
+"""The span tracer: sinks, nesting, the schema.
 
 The contracts under test are the ones ``docs/observability.md``
-promises: disabled is a shared no-op, capture/collect/file sinks see
-exactly the spans they should, worker spans re-parent under the
-dispatching round, and every emitted record validates against
+promises: disabled is a shared no-op, capture/file sinks see exactly
+the spans they should, and every emitted record validates against
 :data:`repro.obs.tracing.SPAN_FIELDS`.
 """
 
@@ -94,41 +93,6 @@ class TestCapture:
             with obs.capture():
                 raise RuntimeError("boom")
         assert not obs.tracing_active()
-
-
-class TestCollectMode:
-    """The worker side: buffered spans travel home with the result."""
-
-    def test_collect_is_exclusive(self):
-        with obs.capture() as trace:
-            with obs.collect() as buffered:
-                with obs.span("worker.side"):
-                    pass
-            assert [r["name"] for r in buffered] == ["worker.side"]
-        # The capture saw nothing: collected spans are emitted once,
-        # by the parent, via emit_collected.
-        assert trace.records == []
-
-    def test_emit_collected_reparents_roots(self):
-        with obs.collect() as buffered:
-            with obs.span("worker.root"):
-                with obs.span("worker.child"):
-                    pass
-        with obs.capture() as trace:
-            obs.emit_collected(buffered, parent_id="round-id-1")
-        by_name = {r["name"]: r for r in trace.records}
-        assert by_name["worker.root"]["parent_id"] == "round-id-1"
-        # Non-root worker spans keep their in-worker parent.
-        assert (by_name["worker.child"]["parent_id"]
-                == by_name["worker.root"]["span_id"])
-
-    def test_emit_collected_without_parent_keeps_roots(self):
-        with obs.collect() as buffered:
-            with obs.span("worker.root"):
-                pass
-        with obs.capture() as trace:
-            obs.emit_collected(buffered, parent_id=None)
-        assert trace.records[0]["parent_id"] is None
 
 
 class TestFileSink:

@@ -1,342 +1,116 @@
-"""The supervised dispatcher and the degradation ladder, unit-level.
+"""Deadline scopes, and what the band fan-out's threads inherit.
 
-The chaos suite (``test_faults.py``) drives these paths end-to-end
-through real worker processes; this module pins the pure control-flow
-contracts with fake pools — retry accounting, deadline conversion,
-partial-result harvesting, latch arithmetic, forced-method pinning —
-so a failure here localizes to the dispatcher, not the substrate.
+A :func:`~repro.parallel.resilience.deadline_scope` and the open span
+are both context variables.  Pool threads do not inherit context
+variables on their own, so the thread fan-out submits every block
+through ``contextvars.copy_context().run``; these tests pin that the
+budget and the span tree both reach the blocks, on every method.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+import sys
+import time
 
+import numpy as np
 import pytest
 
-from repro.errors import (
-    BlockTimeoutError,
-    FanOutExhaustedError,
-    LadderExhaustedError,
-)
-from repro.parallel import faults, resilience
-from repro.parallel import pool as pool_mod
+from repro import obs
+from repro.errors import DeadlineExceededError
 from repro.parallel.resilience import (
-    DegradedFanOutWarning,
-    RetryPolicy,
-    run_ladder,
-    supervised_map,
+    check_deadline,
+    deadline_scope,
+    scope_remaining_s,
 )
-
-WORKERS = 2
-
-
-@pytest.fixture(autouse=True)
-def _clean_ladder():
-    resilience.reset_ladder_state()
-    yield
-    resilience.reset_ladder_state()
-    pool_mod.shutdown_pool()
+from repro.uncertainty.mc import mc_band_stack
 
 
-# ---------------------------------------------------------------------------
-# RetryPolicy
-# ---------------------------------------------------------------------------
-
-class TestRetryPolicy:
-    def test_defaults_are_valid(self):
-        policy = RetryPolicy()
-        assert policy.attempts >= 1
-        assert policy.timeout_s is None or policy.timeout_s > 0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"attempts": 0},
-        {"attempts": -1},
-        {"backoff_s": -0.1},
-        {"backoff_factor": 0.5},
-        {"timeout_s": 0.0},
-        {"timeout_s": -5.0},
-    ])
-    def test_invalid_fields_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-    def test_none_timeout_disables_deadlines(self):
-        assert RetryPolicy(timeout_s=None).timeout_s is None
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(resilience.ATTEMPTS_ENV, "5")
-        monkeypatch.setenv(resilience.TIMEOUT_ENV, "12.5")
-        monkeypatch.setenv(resilience.BACKOFF_ENV, "0.5")
-        policy = resilience.default_policy()
-        assert policy.attempts == 5
-        assert policy.timeout_s == 12.5
-        assert policy.backoff_s == 0.5
-
-    def test_zero_timeout_env_disables_deadlines(self, monkeypatch):
-        monkeypatch.setenv(resilience.TIMEOUT_ENV, "0")
-        assert resilience.default_policy().timeout_s is None
-
-    def test_malformed_env_warns_and_keeps_defaults(self, monkeypatch):
-        monkeypatch.setenv(resilience.ATTEMPTS_ENV, "banana")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            policy = resilience.default_policy()
-        assert policy.attempts == resilience.DEFAULT_ATTEMPTS
+def _stack(n_cells=6, n=40):
+    rng = np.random.default_rng(7)
+    return (rng.uniform(1.0, 500.0, (n_cells, n)),
+            rng.uniform(0.05, 0.5, (n_cells, n)))
 
 
-# ---------------------------------------------------------------------------
-# supervised_map: fake-pool control flow
-# ---------------------------------------------------------------------------
+class TestDeadlineScope:
+    def test_no_scope_means_no_budget(self):
+        assert scope_remaining_s() is None
+        check_deadline("probe")          # never raises outside a scope
 
-def _ok_future(value) -> Future:
-    future: Future = Future()
-    future.set_result(value)
-    return future
+    def test_none_budget_is_a_noop_scope(self):
+        with deadline_scope(None):
+            assert scope_remaining_s() is None
 
+    def test_remaining_counts_down_and_resets(self):
+        with deadline_scope(30.0):
+            left = scope_remaining_s()
+            assert 0.0 < left <= 30.0
+            check_deadline("probe")
+        assert scope_remaining_s() is None
 
-def _broken_future() -> Future:
-    future: Future = Future()
-    future.set_exception(BrokenProcessPool("worker died"))
-    return future
+    def test_nested_scopes_keep_the_tighter_deadline(self):
+        with deadline_scope(30.0):
+            with deadline_scope(60.0):
+                assert scope_remaining_s() <= 30.0
+            with deadline_scope(5.0):
+                assert scope_remaining_s() <= 5.0
+            assert scope_remaining_s() > 5.0
 
-
-class _ScriptedPool:
-    """A fake pool whose submits follow a per-round script."""
-
-    def __init__(self, rounds):
-        # rounds: list of callables (task, block) -> Future
-        self.rounds = list(rounds)
-        self.round_no = -1
-        self.submitted: list[list[int]] = []
-
-    def next_round(self):
-        self.round_no += 1
-        self.submitted.append([])
-
-    def submit(self, fn, inner_fn, task, block, attempt, traced=False):
-        self.submitted[-1].append(block)
-        return self.rounds[self.round_no](task, block)
-
-
-def _install(monkeypatch, pool: _ScriptedPool) -> list[int]:
-    """Wire the fake pool into the dispatcher; count kill_pool calls."""
-    kills: list[int] = []
-
-    def fake_get_pool(max_workers=None):
-        pool.next_round()
-        return pool
-
-    monkeypatch.setattr(pool_mod, "get_pool", fake_get_pool)
-    monkeypatch.setattr(pool_mod, "kill_pool", lambda: kills.append(1))
-    return kills
+    def test_spent_budget_raises_with_label_and_budget(self):
+        before = obs.get_counter("fanout.deadline_scope_exceeded")
+        with deadline_scope(1e-9):
+            time.sleep(0.001)
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                check_deadline("probe")
+        assert excinfo.value.label == "probe"
+        assert excinfo.value.budget_s == 1e-9
+        assert obs.get_counter("fanout.deadline_scope_exceeded") \
+            == before + 1
 
 
-class TestSupervisedMap:
-    def test_empty_tasks(self):
-        assert supervised_map(str, []) == []
+class TestThreadPropagation:
+    @pytest.mark.parametrize("method", ["threads", "serial"])
+    def test_expired_scope_stops_the_band_kernel(self, method):
+        values, unc = _stack()
+        with deadline_scope(1e-9):
+            time.sleep(0.001)
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                mc_band_stack(values, unc, n_samples=100, method=method,
+                              max_workers=2)
+        assert excinfo.value.label == "mc-bands"
 
-    def test_inline_when_no_pool(self, monkeypatch):
-        monkeypatch.setattr(pool_mod, "get_pool", lambda *_: None)
-        double = functools.partial(operator.mul, 2)
-        assert supervised_map(double, [1, 2, 3]) == [2, 4, 6]
+    def test_threaded_stats_spans_nest_under_the_band_stack(self):
+        values, unc = _stack()
+        with obs.capture() as trace:
+            mc_band_stack(values, unc, n_samples=100, method="threads",
+                          max_workers=2)
+        (stack,) = trace.by_name("mc.band_stack")
+        stats = trace.by_name("mc.stats")
+        assert len(stats) == 2
+        assert all(r["parent_id"] == stack["span_id"] for r in stats)
 
-    def test_single_task_runs_inline(self, monkeypatch):
-        # Even with a pool, one block is cheaper inline.
-        monkeypatch.setattr(
-            pool_mod, "get_pool",
-            lambda *_: pytest.fail("pool must not be consulted") if False
-            else object())
-        assert supervised_map(functools.partial(operator.mul, 3),
-                              [7]) == [21]
-
-    def test_all_blocks_succeed(self, monkeypatch):
-        pool = _ScriptedPool([lambda task, b: _ok_future(task * 2)])
-        _install(monkeypatch, pool)
-        assert supervised_map(None, [1, 2, 3]) == [2, 4, 6]
-        assert pool.submitted == [[0, 1, 2]]
-
-    def test_lost_blocks_retried_results_harvested(self, monkeypatch):
-        # Round 0: block 0 completes, blocks 1-2 die with the pool.
-        # Round 1: the two lost blocks (only) are re-dispatched.
-        def round0(task, block):
-            return _ok_future(task * 2) if block == 0 else _broken_future()
-
-        pool = _ScriptedPool([round0, lambda task, b: _ok_future(task * 2)])
-        kills = _install(monkeypatch, pool)
-        policy = RetryPolicy(attempts=3, backoff_s=0.0)
-        assert supervised_map(None, [1, 2, 3], policy=policy) == [2, 4, 6]
-        assert pool.submitted[0] == [0, 1, 2]
-        assert sorted(pool.submitted[1]) == [1, 2]
-        assert kills  # the broken pool was killed between rounds
-
-    def test_exhaustion_raises_with_cause(self, monkeypatch):
-        pool = _ScriptedPool([lambda task, b: _broken_future()] * 2)
-        _install(monkeypatch, pool)
-        policy = RetryPolicy(attempts=2, backoff_s=0.0)
-        with pytest.raises(FanOutExhaustedError) as excinfo:
-            supervised_map(None, [1, 2], policy=policy)
-        assert excinfo.value.attempts == 2
-        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
-
-    def test_deadline_miss_counts_as_crash(self, monkeypatch):
-        # A future that never completes: every round times out until
-        # the attempt budget is spent; the terminal error chains from
-        # the BlockTimeoutError that killed the last round.
-        pool = _ScriptedPool([lambda task, b: Future()] * 2)
-        _install(monkeypatch, pool)
-        policy = RetryPolicy(attempts=2, backoff_s=0.0, timeout_s=0.05)
-        with pytest.raises(FanOutExhaustedError) as excinfo:
-            supervised_map(None, [1, 2], policy=policy)
-        assert isinstance(excinfo.value.__cause__, BlockTimeoutError)
-
-    def test_ordinary_task_error_propagates_unretried(self, monkeypatch):
-        def round0(task, block):
-            future: Future = Future()
-            if block == 1:
-                future.set_exception(KeyError("task bug"))
-            else:
-                future.set_result(task)
-            return future
-
-        pool = _ScriptedPool([round0])
-        _install(monkeypatch, pool)
-        with pytest.raises(KeyError, match="task bug"):
-            supervised_map(None, [1, 2, 3])
-        assert len(pool.submitted) == 1  # no retry round
-
-    def test_submit_failure_is_bounded(self, monkeypatch):
-        class _DeadPool:
-            def submit(self, *args):
-                raise BrokenProcessPool("dead at submit")
-
-        monkeypatch.setattr(pool_mod, "get_pool", lambda *_: _DeadPool())
-        monkeypatch.setattr(pool_mod, "kill_pool", lambda: None)
-        policy = RetryPolicy(attempts=2, backoff_s=0.0)
-        with pytest.raises(FanOutExhaustedError):
-            supervised_map(None, [1, 2], policy=policy)
-
-    def test_real_pool_round_trip(self):
-        if not pool_mod.pool_available(WORKERS):
-            pytest.skip("cannot spawn worker processes")
-        double = functools.partial(operator.mul, 2)
-        assert supervised_map(double, [1, 2, 3],
-                              max_workers=WORKERS) == [2, 4, 6]
-
-
-# ---------------------------------------------------------------------------
-# run_ladder
-# ---------------------------------------------------------------------------
-
-class TestRunLadder:
-    def test_first_rung_wins(self):
-        assert run_ladder((("shm", lambda: "fast"),
-                           ("serial", lambda: "slow"))) == "fast"
-
-    def test_decline_falls_through_uncounted(self):
-        assert run_ladder((("shm", lambda: None),
-                           ("serial", lambda: "slow"))) == "slow"
-        assert resilience.rung_failures().get("shm", 0) == 0
-
-    def test_failure_counts_and_degrades(self):
-        def fail():
-            raise pool_mod.WorkerCrashError("boom")
-        assert run_ladder((("shm", fail),
-                           ("serial", lambda: "slow"))) == "slow"
-        assert resilience.rung_failures()["shm"] == 1
-        assert resilience.latched_rungs() == ()
-
-    def test_latch_after_repeated_failures_warns_once(self):
-        def fail():
-            raise pool_mod.WorkerCrashError("boom")
-        ladder = (("shm", fail), ("serial", lambda: "slow"))
-        for _ in range(resilience.LATCH_AFTER - 1):
-            run_ladder(ladder)
-        with pytest.warns(DegradedFanOutWarning, match="latching"):
-            run_ladder(ladder)
-        assert resilience.latched_rungs() == ("shm",)
-        # Latched: the rung is skipped without re-running its thunk.
-        calls = []
-
-        def must_not_run():
-            calls.append(1)
-            raise AssertionError("latched rung ran")
-
-        assert run_ladder((("shm", must_not_run),
-                           ("serial", lambda: "slow"))) == "slow"
-        assert not calls
-
-    def test_success_resets_failure_count(self):
-        def fail():
-            raise pool_mod.WorkerCrashError("boom")
-        run_ladder((("shm", fail), ("serial", lambda: "slow")))
-        run_ladder((("shm", lambda: "recovered"),
-                    ("serial", lambda: "slow")))
-        assert resilience.rung_failures()["shm"] == 0
-
-    def test_injected_fault_counts_as_infrastructure(self):
-        def fail():
-            raise faults.InjectedFault("attach")
-        assert run_ladder((("shm", fail),
-                           ("serial", lambda: "slow"))) == "slow"
-
-    def test_genuine_bug_propagates(self):
-        def bug():
-            raise KeyError("logic error")
-        with pytest.raises(KeyError):
-            run_ladder((("shm", bug), ("serial", lambda: "slow")))
-
-    def test_last_rung_failure_propagates(self):
-        def fail():
-            raise OSError("even serial failed")
-        with pytest.raises(OSError):
-            run_ladder((("serial", fail),))
-
-    def test_all_declined_raises(self):
-        with pytest.raises(LadderExhaustedError):
-            run_ladder((("shm", lambda: None), ("serial", lambda: None)))
-
-    def test_forced_method_pins_one_rung(self, monkeypatch):
-        monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "serial")
-        calls = []
-
-        def shm_thunk():
-            calls.append("shm")
-            return "fast"
-
-        assert run_ladder((("shm", shm_thunk),
-                           ("serial", lambda: "slow"))) == "slow"
-        assert not calls
-
-    def test_forced_method_failure_propagates(self, monkeypatch):
-        monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "shm")
-
-        def fail():
-            raise pool_mod.WorkerCrashError("boom")
-
-        with pytest.raises(pool_mod.WorkerCrashError):
-            run_ladder((("shm", fail), ("serial", lambda: "slow")))
-        assert resilience.latched_rungs() == ()
-
-    def test_forced_method_decline_raises(self, monkeypatch):
-        monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "shm")
-        with pytest.raises(LadderExhaustedError):
-            run_ladder((("shm", lambda: None),
-                        ("serial", lambda: "slow")))
-
-    def test_forced_method_not_in_ladder_ignored(self, monkeypatch):
-        monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "shm")
-        assert run_ladder((("serial", lambda: "slow"),)) == "slow"
-
-    def test_retired_pickle_method_warns_and_ignored(self, monkeypatch):
-        monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "pickle")
-        with pytest.warns(RuntimeWarning, match="shm/serial"):
-            assert run_ladder((("shm", lambda: "fast"),
-                               ("serial", lambda: "slow"))) == "fast"
-
-    def test_malformed_forced_method_warns_and_ignored(self, monkeypatch):
-        monkeypatch.setenv(resilience.FORCE_METHOD_ENV, "warp-drive")
-        with pytest.warns(RuntimeWarning, match="shm/serial"):
-            assert run_ladder((("shm", lambda: "fast"),
-                               ("serial", lambda: "slow"))) == "fast"
+    def test_many_threads_fast_switching_lose_nothing(self):
+        """More blocks than cores, switching every microsecond: every
+        band still matches serial, and the shared counters (one lock)
+        lose no update."""
+        values, unc = _stack(n_cells=16)
+        values[2:4, :9] = np.nan         # one block with a shorter stream
+        unc[2:4, :9] = np.nan
+        serial = mc_band_stack(values, unc, n_samples=64, method="serial")
+        counts = (~np.isnan(values)).sum(axis=1)
+        expected_draws = 64 * sum(int(counts[c0:c0 + 2].max())
+                                  for c0 in range(0, 16, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                draws = obs.get_counter("mc.draws")
+                blocks = obs.get_counter("fanout.blocks_dispatched")
+                assert mc_band_stack(values, unc, n_samples=64,
+                                     method="threads",
+                                     max_workers=8) == serial
+                assert obs.get_counter("mc.draws") - draws \
+                    == expected_draws
+                assert obs.get_counter("fanout.blocks_dispatched") \
+                    - blocks == 8
+        finally:
+            sys.setswitchinterval(interval)

@@ -98,10 +98,11 @@ class TestEndpoints:
             assert status == 200
             ready = json.loads(body)
             assert ready["ready"] is True
-            # /readyz embeds the doctor schema plus the serve section.
-            assert {"schema_version", "pool", "shm", "ladder",
+            # /readyz embeds the doctor schema (v2) plus the serve
+            # section.
+            assert {"schema_version", "faults", "cache_tier",
                     "counters", "serve"} <= set(ready)
-            assert "janitor" not in ready    # probes never sweep
+            assert ready["schema_version"] == 2
 
             await post("/v1/assess", {"fleet": "doe-like"})
             status, _, body = await get("/metrics")
@@ -496,17 +497,12 @@ class TestFanOutRouting:
               "n_samples": 400, "seed": 5}
 
     def test_computed_sweep_builds_no_pool(self):
-        from repro.parallel import pool as pool_mod
-
-        pool_mod.shutdown_pool()
-
         async def scenario(server, get, post):
             dispatched = obs.get_counter("fanout.blocks_dispatched")
             status, headers, body = await post("/v1/sweep", self._SWEEP)
             assert status == 200
             assert headers["X-Repro-Cache"] == "miss"
             assert body == _serial_reference(self._SWEEP)
-            assert pool_mod.pool_status()["live"] is False
             assert obs.get_counter("fanout.blocks_dispatched") == dispatched
 
         run_server(scenario)
@@ -514,8 +510,8 @@ class TestFanOutRouting:
     def test_degraded_breaker_runs_bands_serially(self, monkeypatch):
         from repro.uncertainty import mc
 
-        # Every band stack is now big enough for "auto" to take the pool.
-        monkeypatch.setenv(mc.SHM_MIN_DRAWS_ENV, "0")
+        # Every band stack is now big enough for "auto" to fan out.
+        monkeypatch.setattr(mc, "_FANOUT_MIN_DRAWS", 0)
         reference = _serial_reference(self._BANDS, kind="bands")
 
         async def scenario(server, get, post):
@@ -533,17 +529,16 @@ class TestFanOutRouting:
 
 
 class TestJanitorTask:
-    def test_periodic_janitor_sweeps_orphans(self, monkeypatch):
-        from repro.parallel import shm as shm_mod
-        sweeps = []
-        monkeypatch.setattr(shm_mod, "sweep_orphaned_segments",
-                            lambda *a, **k: sweeps.append(1) or ())
+    def test_periodic_janitor_republishes_status(self, monkeypatch):
         config = ServeConfig(port=0, janitor_interval_s=0.05)
 
         async def scenario(server, get, post):
+            published = []
+            monkeypatch.setattr(server, "_publish_replica_status",
+                                lambda: published.append(1))
             runs_before = obs.get_counter("serve.janitor_runs")
             await asyncio.sleep(0.2)
-            assert sweeps, "janitor never invoked the orphan sweep"
+            assert published, "janitor never republished the status"
             assert obs.get_counter("serve.janitor_runs") > runs_before
 
         run_server(scenario, config)

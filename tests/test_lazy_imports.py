@@ -1,7 +1,7 @@
 """The package ``__init__``\\ s stay lazy, and their re-exports stay exact.
 
-A cold ``repro --help`` must not pay for numpy, the process pool or the
-study pipeline; every name the packages re-export must still resolve to
+A cold ``repro --help`` must not pay for numpy, ``concurrent.futures`` or
+the study pipeline; every name the packages re-export must still resolve to
 the very object its defining submodule holds.
 """
 
@@ -19,8 +19,7 @@ import repro.core
 import repro.parallel
 
 #: Modules a bare ``import repro.cli`` / ``repro --help`` must not load.
-HEAVY = ("numpy", "concurrent.futures", "repro.parallel.pool",
-         "repro.study")
+HEAVY = ("numpy", "concurrent.futures", "repro.study")
 
 
 def _modules_after(code: str) -> set[str]:
@@ -95,15 +94,8 @@ SOURCES = {
     "repro.parallel": {
         "repro.parallel.chunking": ("chunk_indices",),
         "repro.parallel.faults": ("FaultPlan", "FaultRule", "InjectedFault"),
-        "repro.parallel.pool": ("WorkerCrashError", "get_pool", "kill_pool",
-                                "pool_available",
-                                "processes_disabled", "reset_pool",
-                                "shutdown_pool"),
-        "repro.parallel.resilience": ("DegradedFanOutWarning", "RetryPolicy",
-                                      "latched_rungs", "reset_ladder_state",
-                                      "run_ladder", "supervised_map"),
-        "repro.parallel.shm": ("SharedArrayPack", "live_owned_segments",
-                               "shm_available", "sweep_orphaned_segments"),
+        "repro.parallel.resilience": ("check_deadline", "deadline_scope",
+                                      "scope_remaining_s"),
     },
 }
 

@@ -5,11 +5,10 @@ Three layers of guarantees, in decreasing strictness:
 * **Bit-identity** — every cell of a batched stack must equal the
   frozen per-fleet reference draw (an independent in-test copy of the
   pre-engine ``total_with_uncertainty_arrays`` body) bit for bit,
-  whatever the batch shape, cell order, method, or process boundary.
+  whatever the batch shape, cell order, method, or thread.
   This is the seed-stream contract of ``docs/uncertainty.md``.
-* **Cross-boundary determinism** — the shared-memory fan-out and the
-  serial kernel must agree exactly, and every unavailability must
-  degrade to serial with identical output.
+* **Cross-thread determinism** — the thread fan-out and the serial
+  kernel must agree exactly, whatever the window and slab sizes.
 * **Distributional sanity** — the sampled bands must behave like the
   statistics they claim to be: fleet-total halfwidths shrink ~1/√n
   with fleet size, percentile estimates stabilize ~1/√n_samples, and
@@ -30,9 +29,6 @@ from repro.core.uncertainty import (
     fleet_bands,
     total_with_uncertainty_arrays,
 )
-from repro.parallel import pool as pool_mod
-from repro.parallel import shm as shm_mod
-from repro.parallel.resilience import supervised_map
 from repro.uncertainty import mc
 from repro.uncertainty.mc import (
     BandStack,
@@ -42,10 +38,6 @@ from repro.uncertainty.mc import (
 )
 
 WORKERS = 2
-
-
-def _pool_ready() -> bool:
-    return shm_mod.shm_available() and pool_mod.pool_available(WORKERS)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +213,11 @@ class TestCubeBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process determinism and fan-out identity
+# Cross-thread determinism and fan-out identity
 # ---------------------------------------------------------------------------
 
 class TestFanOut:
     def test_shm_matches_serial_bit_for_bit(self):
-        if not _pool_ready():
-            pytest.skip("cannot spawn worker processes")
         values, unc = random_stack(5, 9, 120)
         serial = mc_band_stack(values, unc, n_samples=500, method="serial")
         pooled = mc_band_stack(values, unc, n_samples=500, method="shm",
@@ -244,19 +234,18 @@ class TestFanOut:
         with pytest.raises(TypeError):
             hash(a)
 
-    def test_auto_threshold_env_override(self, monkeypatch):
-        from repro.uncertainty import mc
+    def test_auto_past_threshold_fans_out_identically(self, monkeypatch):
+        from repro import obs
         values, unc = random_stack(13, 4, 30)
         serial = mc_band_stack(values, unc, n_samples=200, method="serial")
-        # Force the auto path across the pool (or its serial fallback
-        # on incapable hosts) — output must be identical either way.
-        monkeypatch.setenv(mc.SHM_MIN_DRAWS_ENV, "1")
-        assert mc_band_stack(values, unc, n_samples=200,
-                             method="auto") == serial
-        monkeypatch.setenv(mc.SHM_MIN_DRAWS_ENV, "not-a-number")
-        with pytest.warns(RuntimeWarning, match="not a number"):
-            assert mc_band_stack(values, unc, n_samples=200,
-                                 method="auto") == serial
+        # Force the auto path onto the threads — output must be
+        # identical.
+        monkeypatch.setattr(mc, "_FANOUT_MIN_DRAWS", 1)
+        dispatched = obs.get_counter("fanout.blocks_dispatched")
+        assert mc_band_stack(values, unc, n_samples=200, method="auto",
+                             max_workers=WORKERS) == serial
+        assert obs.get_counter("fanout.blocks_dispatched") \
+            == dispatched + WORKERS
 
     def test_single_cell_takes_serial_path(self):
         values, unc = random_stack(6, 1, 40)
@@ -272,13 +261,8 @@ class TestFanOut:
 
 
 # ---------------------------------------------------------------------------
-# The slab loop: byte-sized slabs, one reused scratch buffer
+# The slab loop: byte-sized windows and slabs, one reused scratch buffer
 # ---------------------------------------------------------------------------
-
-def _worker_slab_bytes(_task):
-    """What a pool worker sees as the slab size (module-level: picklable)."""
-    return mc._SLAB_BYTES
-
 
 #: Slab sizes (bytes) that force the loop's edge cases on
 #: :func:`slab_stack` (covered counts 20..40, ``SLAB_SAMPLES`` draws).
@@ -286,19 +270,17 @@ SLAB_CASES = {
     "many-ragged-slabs": 8 * 40 * 3,     # 3-6 rows, 97 % rows != 0
     "one-row-per-slab": 8,               # k > one slab: rows == 1
     "one-slab-per-cell": 1 << 30,        # rows == n_samples
+    "window-carry": 8 * 64,              # 64-entry windows: every k carries
 }
 SLAB_SAMPLES = 97
 
 
 @pytest.fixture(params=sorted(SLAB_CASES))
 def slab_case(request, monkeypatch):
-    """Patch the slab size; the pool is rebuilt so forked workers
-    inherit the patched value, and torn down so later tests do not
-    run on workers that still carry it."""
+    """Patch the slab (and window) size; threads share the module
+    constant."""
     monkeypatch.setattr(mc, "_SLAB_BYTES", SLAB_CASES[request.param])
-    pool_mod.shutdown_pool()
-    yield request.param
-    pool_mod.shutdown_pool()
+    return request.param
 
 
 def slab_stack():
@@ -319,6 +301,10 @@ class TestSlabLoop:
             assert all(SLAB_SAMPLES % r for r in rows)
         elif slab_case == "one-row-per-slab":
             assert rows == [1] * len(rows)
+        elif slab_case == "window-carry":
+            width = mc._window_len(SLAB_SAMPLES, int(counts.max()))
+            assert width < SLAB_SAMPLES * int(counts.min())
+            assert all(width % int(k) for k in counts)
         else:
             assert rows == [SLAB_SAMPLES] * len(rows)
         assert len(set(counts.tolist())) == len(counts)
@@ -332,12 +318,6 @@ class TestSlabLoop:
 
     @pytest.mark.parametrize("method", ["serial", "shm"])
     def test_band_stack_matches_reference(self, slab_case, method):
-        if method == "shm":
-            if not _pool_ready():
-                pytest.skip("cannot spawn worker processes")
-            seen = supervised_map(_worker_slab_bytes, [0, 1],
-                                  max_workers=WORKERS)
-            assert seen == [SLAB_CASES[slab_case]] * 2
         values, unc = slab_stack()
         stack = mc_band_stack(values, unc, n_samples=SLAB_SAMPLES, seed=3,
                               method=method, max_workers=WORKERS)
@@ -348,51 +328,64 @@ class TestSlabLoop:
 
 
 class TestKernelAllocation:
-    """The kernel allocates the stream, one scratch slab and per-cell
-    inputs only — never a per-slab temporary or every cell's totals.
+    """The kernel allocates one stream window, one scratch slab and
+    per-cell inputs — never a per-slab temporary, and every cell's
+    totals only when the stream spans several windows.
 
     numpy reports its data buffers to ``tracemalloc``, so the traced
-    peak of a serial band build over an (8, 5000) x 200 stack is the
-    kernel's working set.  Cell 0 is fully covered (it sets the stream
-    length); the others have holes, so both cell shapes run.
+    peak of a serial band build is the kernel's working set.  Cell 0
+    is fully covered (it sets the stream length); the others have
+    holes, so both cell shapes run.
     """
 
     N_SAMPLES = 200
 
     @staticmethod
-    def stack():
-        values, unc = random_stack(29, 8, 5000)
-        full_values, full_unc = random_stack(30, 1, 5000, nan_frac=0.0)
+    def stack(n):
+        values, unc = random_stack(29, 8, n)
+        full_values, full_unc = random_stack(30, 1, n, nan_frac=0.0)
         values[0], unc[0] = full_values[0], full_unc[0]
         return values, unc
 
-    def peak_bytes(self, values, unc):
-        mc_band_stack(values, unc, n_samples=self.N_SAMPLES,
+    @staticmethod
+    def peak_bytes(values, unc, n_samples):
+        mc_band_stack(values, unc, n_samples=n_samples,
                       method="serial")      # warm any one-time state
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            mc_band_stack(values, unc, n_samples=self.N_SAMPLES,
+            mc_band_stack(values, unc, n_samples=n_samples,
                           method="serial")
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
-    def test_peak_is_stream_plus_one_slab(self):
-        values, unc = self.stack()
+    def test_single_window_peak_is_stream_plus_one_slab(self):
+        values, unc = self.stack(500)
         m, (n_cells, k) = self.N_SAMPLES, values.shape
         stream = m * k * 8
+        assert stream <= mc._SLAB_BYTES       # one window holds it all
         scratch = min(m * k, mc._SLAB_BYTES // 8) * 8
         cell_inputs = 2 * k * 8 + 2 * k      # values, sigmas, masks
         ufunc_buffer = np.getbufsize() * 8   # one ufunc iterator buffer
         samples = 8 * m * 8                  # totals, percentile work
-        peak = self.peak_bytes(values, unc)
+        peak = self.peak_bytes(values, unc, m)
         assert peak <= stream + scratch + cell_inputs + ufunc_buffer \
             + samples
         # Totals are per cell: two cells or all eight, same working set
         # (a (C, n_samples) totals array would add 6 x 1600 bytes here).
-        assert peak - self.peak_bytes(values[:2], unc[:2]) \
+        assert peak - self.peak_bytes(values[:2], unc[:2], m) \
             < (n_cells - 2) * m * 8 // 2
+
+    def test_multi_window_peak_is_far_below_the_stream(self):
+        values, unc = self.stack(5000)
+        m, (n_cells, k) = self.N_SAMPLES, values.shape
+        stream = m * k * 8
+        peak = self.peak_bytes(values, unc, m)
+        assert peak < stream // 2
+        # Doubling the draws grows only the (C, n_samples) totals.
+        grown = self.peak_bytes(values, unc, 2 * m) - peak
+        assert grown <= n_cells * m * 8 + np.getbufsize() * 8
 
 
 # ---------------------------------------------------------------------------
