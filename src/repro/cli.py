@@ -510,6 +510,17 @@ def _mc_samples(args: argparse.Namespace) -> int:
     return DEFAULT_MC_SAMPLES if args.mc_samples is None else args.mc_samples
 
 
+def _load_cube(cls, path: str):
+    """``cls.load_npz(path)``, or None once the reason is on stderr."""
+    from repro.errors import ParseError
+
+    try:
+        return cls.load_npz(path)
+    except (ParseError, OSError) as exc:
+        print(f"cannot load a cube: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_scenarios(args: argparse.Namespace) -> int:
     from repro import scenarios
     from repro.grid.intensity import DecarbonizationTrajectory
@@ -521,9 +532,11 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         print(problem, file=sys.stderr)
         return 2
     if args.load:
-        cube = scenarios.ScenarioCube.load_npz(args.load)
-        footprints = (("operational", "embodied", "embodied_annualized")
-                      if args.footprint == "all" else (args.footprint,))
+        cube = _load_cube(scenarios.ScenarioCube, args.load)
+        if cube is None:
+            return 2
+        footprints = (scenarios.FOOTPRINTS if args.footprint == "all"
+                      else (args.footprint,))
         print(cube_table(cube, footprints, bands=args.bands,
                          n_samples=_mc_samples(args),
                          band_kind=args.band_kind or "quantile"))
@@ -578,8 +591,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     if args.save:
         cube.save_npz(args.save)
     if args.footprint == "all" or args.bands:
-        footprints = (("operational", "embodied", "embodied_annualized")
-                      if args.footprint == "all" else (args.footprint,))
+        footprints = (scenarios.FOOTPRINTS if args.footprint == "all"
+                      else (args.footprint,))
         print(cube_table(cube, footprints, bands=args.bands,
                          n_samples=_mc_samples(args),
                          band_kind=args.band_kind or "quantile"))
@@ -606,7 +619,9 @@ def cmd_shift(args: argparse.Namespace) -> int:
         print(problem, file=sys.stderr)
         return 2
     if args.load:
-        cube = scenarios.ShiftCube.load_npz(args.load)
+        cube = _load_cube(scenarios.ShiftCube, args.load)
+        if cube is None:
+            return 2
         print(shift_table(cube, args.footprint, bands=args.bands,
                           n_samples=_mc_samples(args),
                           band_kind=args.band_kind or "quantile"))

@@ -72,7 +72,14 @@ class ConfigError(ReproError):
 
 
 class ParseError(DataError):
-    """Raised when embedded paper data cannot be parsed."""
+    """Raised when input that should have a known layout does not.
+
+    Embedded paper data that fails to parse, and saved files that are
+    not what their reader expects: a truncated, foreign, legacy or
+    wrong-kind cube file (``ScenarioCube.load_npz`` and its siblings),
+    or a spec document with an unknown type tag or invalid fields
+    (:func:`repro.scenarios.spec_from_dict`).
+    """
 
 
 class ServeError(ReproError):

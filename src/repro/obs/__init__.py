@@ -5,8 +5,7 @@ will report through.  Three pieces:
 
 * :mod:`repro.obs.tracing` — nested span tracer (contextvars, monotonic
   clocks, ``REPRO_TRACE`` JSONL sink);
-* :mod:`repro.obs.metrics` — always-on process-lifetime counters plus
-  the bounded event history;
+* :mod:`repro.obs.metrics` — always-on process-lifetime counters;
 * :mod:`repro.obs.profile` — self/cumulative aggregation and the table
   ``repro profile`` prints.
 
@@ -16,11 +15,9 @@ branch.  See ``docs/observability.md``.
 """
 
 from repro.obs.metrics import (
-    events,
     get_counter,
     inc,
     metrics_snapshot,
-    record_event,
     reset_metrics,
     reset_warnings,
 )
@@ -54,8 +51,6 @@ __all__ = [
     "get_counter",
     "metrics_snapshot",
     "reset_metrics",
-    "record_event",
-    "events",
     "reset_warnings",
     "summarize",
     "root_total_s",

@@ -9,7 +9,7 @@ variable decides deterministically whether each consultation fires.
 
 Spec grammar (comma-separated entries)::
 
-    ACTION@POINT[=SELECTOR][:ARG][*FIRES]
+    ACTION@POINT[=SELECTOR][:ARG]
 
     hang@request=0:200ms  request 0 stalls 200 ms inside its handling
     kill@request=2        request 2's connection is dropped unanswered
@@ -31,8 +31,7 @@ process rather than executing it:
 
 ``SELECTOR`` for ``request`` / ``batch`` is the daemon's running
 request/batch ordinal.  Actions: ``kill``, ``hang`` (``ARG`` seconds,
-default 30), ``raise`` / ``fail`` (synonyms).  ``*FIRES`` bounds a
-rule to consultations with ``attempt < FIRES`` (default 1).
+default 30), ``raise`` / ``fail`` (synonyms).
 
 Parsing never raises: malformed entries warn once and are dropped, so
 a typo in the spec cannot take down the process it was meant to test.
@@ -76,12 +75,10 @@ class FaultRule:
     point: str                  # request | batch | cache-load
     selector: int | None = None  # ordinal, or None = every consultation
     arg_s: float | None = None   # hang duration
-    fires: int = 1               # fire while attempt < fires
 
-    def matches(self, point: str, index: int | None, attempt: int) -> bool:
+    def matches(self, point: str, index: int | None) -> bool:
         return (self.point == point
-                and (self.selector is None or self.selector == index)
-                and attempt < self.fires)
+                and (self.selector is None or self.selector == index))
 
 
 def _parse_duration(text: str) -> float:
@@ -101,12 +98,6 @@ def _parse_entry(entry: str) -> FaultRule:
         raise ValueError(f"unknown action {action!r}")
     if not rest:
         raise ValueError("missing fault point after '@'")
-    fires = 1
-    if "*" in rest:
-        rest, _, repeat = rest.rpartition("*")
-        fires = int(repeat)
-        if fires < 1:
-            raise ValueError(f"fire count must be >= 1, got {fires}")
     arg_s: float | None = None
     if ":" in rest:
         rest, _, arg = rest.partition(":")
@@ -119,7 +110,7 @@ def _parse_entry(entry: str) -> FaultRule:
     if point not in _POINTS:
         raise ValueError(f"unknown fault point {point!r}")
     return FaultRule(action=action, point=point, selector=selector,
-                     arg_s=arg_s, fires=fires)
+                     arg_s=arg_s)
 
 
 @dataclass(frozen=True)
@@ -173,8 +164,7 @@ def active_plan() -> FaultPlan:
     return plan
 
 
-def matching(point: str, *, index: int | None = None,
-             attempt: int = 0) -> "FaultRule | None":
+def matching(point: str, *, index: int | None = None) -> "FaultRule | None":
     """The first rule matching ``point``, *without* executing it.
 
     The daemon translates the action into its own failure mode (see
@@ -183,6 +173,6 @@ def matching(point: str, *, index: int | None = None,
     """
     plan = active_plan()
     for rule in plan.rules:
-        if rule.matches(point, index, attempt):
+        if rule.matches(point, index):
             return rule
     return None

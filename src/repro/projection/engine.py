@@ -53,15 +53,12 @@ Bit-compatibility contracts
 from __future__ import annotations
 
 import dataclasses
-import os
-import pickle
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs, units
-from repro.analysis.series import CarbonSeries
 from repro.core.embodied import EmbodiedModel
 from repro.core.operational import OperationalModel
 from repro.core.record import SystemRecord
@@ -69,19 +66,19 @@ from repro.core.uncertainty import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_MC_SEED,
     UncertaintyBand,
-    total_with_uncertainty_arrays,
 )
 from repro.core.vectorized import FleetFrame, fleet_frame
 from repro.projection.turnover import TurnoverModel
 from repro.scenarios import spec as spec_mod
 from repro.scenarios import (
+    FactorCube,
     ScenarioCube,
     ScenarioGrid,
     ScenarioSpec,
-    baseline_spec,
     sweep,
     sweep_scalar_reference,
 )
+from repro.scenarios.spec import _as_specs
 
 __all__ = [
     "BASE_YEAR",
@@ -187,15 +184,6 @@ def _respend_factors(install_year: np.ndarray, lifetime: float,
     return factors
 
 
-def _as_specs(specs) -> tuple[ScenarioSpec, ...]:
-    if specs is None:
-        return (baseline_spec(),)
-    out = specs.specs() if isinstance(specs, ScenarioGrid) else tuple(specs)
-    if not out:
-        raise ValueError("need at least one scenario")
-    return out
-
-
 def _resolve_years(years, base_year, end_year) -> tuple[tuple[int, ...], int]:
     if years is None:
         by = BASE_YEAR if base_year is None else int(base_year)
@@ -272,20 +260,17 @@ _validate_rate = spec_mod.validate_growth_rate
 # The (scenario × year × system) result
 # ---------------------------------------------------------------------------
 
-def _npz_path(path) -> str:
-    path = os.fspath(path)
-    return path if path.endswith(".npz") else path + ".npz"
-
-
 @dataclass(frozen=True)
-class ProjectionCube:
+class ProjectionCube(FactorCube):
     """Scenario × year × system carbon values, factorized over years.
 
-    ``base`` is the year-zero :class:`~repro.scenarios.ScenarioCube`
-    (the ordinary 2-D sweep); the year axis rides as per-scenario
-    factor rows, densified per record only for refresh scenarios.
-    ``values(footprint)`` materializes the full ``(S, Y, n)`` cube;
-    every reduction that can stay factorized does.
+    A :class:`~repro.scenarios.FactorCube` whose axis is the projection
+    years: ``base`` is the year-zero
+    :class:`~repro.scenarios.ScenarioCube` (the ordinary 2-D sweep);
+    the year axis rides as per-scenario factor rows, densified per
+    record only for refresh scenarios.  ``values(footprint)``
+    materializes the full ``(S, Y, n)`` cube; every reduction that can
+    stay factorized does.  Year arguments are calendar years.
     """
 
     base: ScenarioCube
@@ -296,45 +281,17 @@ class ProjectionCube:
     refresh_rows: tuple[int, ...] = ()
     emb_respend: np.ndarray | None = None  # (len(refresh_rows), Y, n)
 
-    def __post_init__(self) -> None:
-        shape = (self.base.n_scenarios, len(self.years))
-        for field_name in ("op_year_factors", "emb_year_factors"):
-            arr = getattr(self, field_name)
-            if arr.shape != shape:
-                raise ValueError(f"{field_name} shape {arr.shape} != {shape}")
-        if not self.years or list(self.years) != sorted(set(self.years)):
-            raise ValueError("years must be non-empty, strictly ascending")
-        if bool(self.refresh_rows) != (self.emb_respend is not None):
-            raise ValueError("refresh_rows and emb_respend must agree")
-        if self.emb_respend is not None and self.emb_respend.shape != (
-                len(self.refresh_rows), len(self.years), self.base.n_systems):
-            raise ValueError("emb_respend shape mismatch")
+    _BANDS_AT = -1          # bands() defaults to the end year
+    _ASCENDING = True
+    labels = property(lambda self: self.years)
+    op_factors = property(lambda self: self.op_year_factors)
+    emb_factors = property(lambda self: self.emb_year_factors)
 
-    # -- axes ----------------------------------------------------------------
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.base.n_scenarios
+    # -- the year axis -------------------------------------------------------
 
     @property
     def n_years(self) -> int:
         return len(self.years)
-
-    @property
-    def n_systems(self) -> int:
-        return self.base.n_systems
-
-    @property
-    def specs(self) -> tuple[ScenarioSpec, ...]:
-        return self.base.specs
-
-    @property
-    def scenario_names(self) -> tuple[str, ...]:
-        return self.base.scenario_names
-
-    def index(self, scenario) -> int:
-        """Scenario-axis position (index, name, or spec)."""
-        return self.base.index(scenario)
 
     def year_index(self, year: int) -> int:
         """Year-axis position of ``year``."""
@@ -344,107 +301,9 @@ class ProjectionCube:
             raise KeyError(f"year {year} not in cube "
                            f"(have {list(self.years)})") from None
 
-    def _check_annualizable(self, footprint: str) -> None:
-        """Refresh rows cannot be annualized: their factor is already a
-        cumulative spend schedule, and dividing cumulative re-spend by
-        the lifetime yields a number with no per-year meaning."""
-        if footprint == "embodied_annualized" and self.refresh_rows:
-            names = [self.base.specs[s].name for s in self.refresh_rows]
-            raise ValueError(
-                "embodied_annualized is undefined for refresh-re-spend "
-                f"scenarios {names}: the refresh factor is cumulative "
-                "spend, not a rate — reduce 'embodied' instead")
-
-    # -- materialization -----------------------------------------------------
-
-    def values(self, footprint: str = "operational",
-               year: int | None = None) -> np.ndarray:
-        """Carbon values, MT CO2e (``nan`` = uncovered).
-
-        ``(S, Y, n)`` for the whole cube, ``(S, n)`` when ``year`` is
-        given.  Each cell is one multiply of the base sweep's value by
-        the scenario/year factor — bit-identical to
-        :func:`project_scalar_reference`.
-        """
-        base = self.base.values(footprint)
-        if footprint == "operational":
-            if year is not None:
-                return base * self.op_year_factors[:, self.year_index(year),
-                                                   None]
-            return base[:, None, :] * self.op_year_factors[:, :, None]
-        self._check_annualizable(footprint)
-        # embodied / embodied_annualized share factor structure.
-        if year is not None:
-            yi = self.year_index(year)
-            out = base * self.emb_year_factors[:, yi, None]
-            for r, s in enumerate(self.refresh_rows):
-                out[s] = base[s] * self.emb_respend[r, yi]
-            return out
-        out = base[:, None, :] * self.emb_year_factors[:, :, None]
-        for r, s in enumerate(self.refresh_rows):
-            out[s] = base[s][None, :] * self.emb_respend[r]
-        return out
-
-    def uncertainty(self, footprint: str = "operational") -> np.ndarray:
-        """Relative uncertainty, ``(S, n)`` — year-invariant.
-
-        Growth multiplies every sample of a record's distribution
-        alike, so the relative width is unchanged; the projection adds
-        model-form risk the cube does not quantify (see
-        ``docs/projection.md``).
-        """
-        return self.base.uncertainty(footprint)
-
-    def coverage(self, footprint: str = "operational") -> np.ndarray:
-        """(S, n) bool mask of covered systems (year-invariant)."""
-        return self.base.coverage(footprint)
-
-    def at_year(self, year: int) -> ScenarioCube:
-        """The cube's one-year slice as an ordinary scenario cube.
-
-        Everything downstream of :class:`~repro.scenarios.ScenarioCube`
-        — delta tables, `figure9_cube`, `cube_sensitivity`, npz
-        persistence — works on a projected year unchanged.
-        """
-        op = self.values("operational", year)
-        emb = self.values("embodied", year)
-        op_unc = np.where(np.isnan(op), np.nan, self.base.operational_unc)
-        emb_unc = np.where(np.isnan(emb), np.nan, self.base.embodied_unc)
-        return ScenarioCube(
-            specs=self.base.specs, ranks=self.base.ranks,
-            names=self.base.names,
-            operational_mt=op, operational_unc=op_unc,
-            embodied_mt=emb, embodied_unc=emb_unc,
-            lifetime_years=self.base.lifetime_years,
-        )
-
-    # -- reductions ----------------------------------------------------------
-
-    def totals(self, footprint: str = "operational") -> np.ndarray:
-        """(S, Y) fleet totals over covered systems, MT CO2e.
-
-        Factorized rows reduce as ``base_total × year_factor`` — the
-        scalar :class:`~repro.projection.growth.CarbonProjection` float
-        order, which the paper-defaults anchor test holds bit-identical
-        — while refresh rows sum their materialized per-record values.
-        """
-        base_totals = self.base.totals(footprint)
-        if footprint == "operational":
-            return base_totals[:, None] * self.op_year_factors
-        self._check_annualizable(footprint)
-        out = base_totals[:, None] * self.emb_year_factors
-        if self.refresh_rows:
-            base = self.base.values(footprint)
-            for r, s in enumerate(self.refresh_rows):
-                out[s] = np.nansum(base[s][None, :] * self.emb_respend[r],
-                                   axis=1)
-        return out
-
-    def total(self, scenario, year: int,
-              footprint: str = "operational") -> float:
-        """One (scenario, year) fleet total, MT CO2e."""
-        return float(self.totals(footprint)[self.index(scenario),
-                                            self.year_index(year)])
+    _point_index = year_index
+    #: The cube's one-year slice as an ordinary scenario cube.
+    at_year = FactorCube.at
 
     def multiplier_at(self, scenario, year: int) -> tuple[float, float]:
         """(operational, embodied) growth multiples relative to base.
@@ -463,79 +322,6 @@ class ProjectionCube:
         else:
             emb = float(self.emb_year_factors[s, yi])
         return op, emb
-
-    def series(self, scenario, year: int,
-               footprint: str = "operational") -> CarbonSeries:
-        """One (scenario, year) rank-indexed series (None = uncovered)."""
-        s = self.index(scenario)
-        row = self.values(footprint, year)[s]
-        base = "embodied" if footprint.startswith("embodied") else footprint
-        return CarbonSeries(
-            footprint=base,
-            scenario=f"{self.base.specs[s].name}@{year}",
-            values={rank: (None if np.isnan(v) else float(v))
-                    for rank, v in zip(self.base.ranks, row)},
-        )
-
-    def band(self, scenario, year: int, footprint: str = "operational", *,
-             n_samples: int = DEFAULT_MC_SAMPLES,
-             seed: int = DEFAULT_MC_SEED) -> UncertaintyBand:
-        """Monte-Carlo fleet-total band for one (scenario, year).
-
-        The array-native path: samples drawn straight from the
-        projected value row and the (year-invariant) uncertainty row —
-        the Fig. 10 band machinery for arbitrary scenario grids.
-        Bit-identical to the same cell of the batched
-        :meth:`band_stack`.
-        """
-        s = self.index(scenario)
-        return total_with_uncertainty_arrays(
-            self.values(footprint, year)[s], self.uncertainty(footprint)[s],
-            n_samples=n_samples, seed=seed)
-
-    def band_stack(self, footprint: str = "operational",
-                   year: int | None = None, *,
-                   n_samples: int = DEFAULT_MC_SAMPLES,
-                   seed: int = DEFAULT_MC_SEED, method: str = "auto",
-                   max_workers: int | None = None):
-        """Band statistics for the whole cube from one batched draw.
-
-        Returns a :class:`repro.uncertainty.mc.BandStack` — shape
-        ``(S, Y)`` for the full cube, ``(S,)`` when ``year`` is given —
-        with every cell bit-identical to the per-cell :meth:`band`
-        call (the uncertainty rows are year-invariant, so they
-        broadcast along the year axis before sampling).  ``method``
-        forwards to :func:`repro.uncertainty.mc.mc_band_stack`;
-        ``"threads"`` fans (scenario, year) blocks over a thread pool
-        — bit-identical either way.
-        """
-        from repro.uncertainty.mc import mc_band_stack
-
-        values = self.values(footprint, year)
-        unc = self.uncertainty(footprint)
-        if year is None:
-            unc = np.broadcast_to(unc[:, None, :], values.shape)
-        return mc_band_stack(values, unc, n_samples=n_samples, seed=seed,
-                             method=method, max_workers=max_workers)
-
-    def bands(self, footprint: str = "operational",
-              year: int | None = None, *,
-              n_samples: int = DEFAULT_MC_SAMPLES,
-              seed: int = DEFAULT_MC_SEED, method: str = "auto",
-              kind: str = "quantile", max_workers: int | None = None,
-              ) -> dict[str, UncertaintyBand]:
-        """Per-scenario bands at one year (default: the end year).
-
-        The batched Fig. 10 band table: one draw kernel for all
-        scenarios, keyed by scenario name, bit-identical to per-cell
-        :meth:`band` calls for ``kind="quantile"``.
-        """
-        year = self.years[-1] if year is None else year
-        stack = self.band_stack(footprint, year, n_samples=n_samples,
-                                seed=seed, method=method,
-                                max_workers=max_workers)
-        return {spec.name: stack.band(s, kind=kind)
-                for s, spec in enumerate(self.base.specs)}
 
     def band_series(self, scenario, footprint: str = "operational", *,
                     n_samples: int = DEFAULT_MC_SAMPLES,
@@ -590,61 +376,6 @@ class ProjectionCube:
             multiple = float(totals[s, -1] / base) if base else float("nan")
             rows.append((spec.name, yearly, multiple))
         return rows
-
-    # -- persistence ---------------------------------------------------------
-
-    def save_npz(self, path) -> None:
-        """Persist the cube to one ``.npz`` file (exact round trip).
-
-        Same layout discipline as
-        :meth:`~repro.scenarios.ScenarioCube.save_npz`: numeric payload
-        as lossless arrays, labeled axes as one pickled blob packed
-        into a uint8 array.
-        """
-        meta = pickle.dumps(
-            {"specs": self.base.specs, "ranks": self.base.ranks,
-             "names": self.base.names, "base_year": self.base_year,
-             "years": self.years, "refresh_rows": self.refresh_rows},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        arrays = {
-            "meta": np.frombuffer(meta, dtype=np.uint8),
-            "operational_mt": self.base.operational_mt,
-            "operational_unc": self.base.operational_unc,
-            "embodied_mt": self.base.embodied_mt,
-            "embodied_unc": self.base.embodied_unc,
-            "lifetime_years": self.base.lifetime_years,
-            "op_year_factors": self.op_year_factors,
-            "emb_year_factors": self.emb_year_factors,
-        }
-        if self.emb_respend is not None:
-            arrays["emb_respend"] = self.emb_respend
-        np.savez_compressed(_npz_path(path), **arrays)
-
-    @classmethod
-    def load_npz(cls, path) -> "ProjectionCube":
-        """Reload a cube saved by :meth:`save_npz` (exact round trip)."""
-        with np.load(_npz_path(path)) as data:
-            meta = pickle.loads(data["meta"].tobytes())
-            base = ScenarioCube(
-                specs=tuple(meta["specs"]),
-                ranks=tuple(meta["ranks"]),
-                names=tuple(meta["names"]),
-                operational_mt=data["operational_mt"],
-                operational_unc=data["operational_unc"],
-                embodied_mt=data["embodied_mt"],
-                embodied_unc=data["embodied_unc"],
-                lifetime_years=data["lifetime_years"],
-            )
-            return cls(
-                base=base,
-                base_year=int(meta["base_year"]),
-                years=tuple(meta["years"]),
-                op_year_factors=data["op_year_factors"],
-                emb_year_factors=data["emb_year_factors"],
-                refresh_rows=tuple(meta["refresh_rows"]),
-                emb_respend=(data["emb_respend"]
-                             if "emb_respend" in data.files else None),
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ Typical use::
     cube.band("aci x0.8+pue=1.2+util=0.8")
 """
 
-from repro.scenarios.cube import FOOTPRINTS, ScenarioCube
+from repro.scenarios.cube import FOOTPRINTS, FactorCube, ScenarioCube
 from repro.scenarios.spec import (
     ScenarioGrid,
     ScenarioSpec,
@@ -47,6 +47,8 @@ from repro.scenarios.spec import (
     offpeak_shift_axis,
     pue_axis,
     refresh_axis,
+    spec_from_dict,
+    spec_to_dict,
     trajectory_axis,
     utilization_axis,
 )
@@ -63,6 +65,7 @@ from repro.scenarios.timeaxis import (
 
 __all__ = [
     "FOOTPRINTS",
+    "FactorCube",
     "ScenarioCube",
     "ScenarioGrid",
     "ScenarioSpec",
@@ -77,6 +80,8 @@ __all__ = [
     "offpeak_shift_axis",
     "pue_axis",
     "refresh_axis",
+    "spec_from_dict",
+    "spec_to_dict",
     "trajectory_axis",
     "utilization_axis",
     "sweep",

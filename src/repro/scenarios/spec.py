@@ -22,6 +22,7 @@ spec lists for the common levers.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 import itertools
 from collections.abc import Sequence
@@ -29,16 +30,23 @@ from dataclasses import dataclass
 
 from repro.core.embodied import EmbodiedModel
 from repro.core.operational import OperationalModel
+from repro.errors import ParseError, ReproError
 from repro.grid.intensity import DecarbonizationTrajectory, GridIntensityDB
 from repro.grid.intervals import IntensitySeries
 from repro.grid.pue import PueModel
-from repro.hardware.catalog import HardwareCatalog
-from repro.hardware.memory import MemorySpec
-from repro.hardware.storage import StorageSpec
+from repro.hardware.catalog import HardwareCatalog, UnknownDevicePolicy
+from repro.hardware.cpus import CpuSpec
+from repro.hardware.gpus import GpuSpec
+from repro.hardware.memory import MemorySpec, MemoryType
+from repro.hardware.nodes import NodeOverheads
+from repro.hardware.storage import StorageClass, StorageSpec
 
 __all__ = [
     "ScenarioSpec",
     "ScenarioGrid",
+    "HourWindow",
+    "spec_to_dict",
+    "spec_from_dict",
     "baseline_spec",
     "aci_scale_axis",
     "decarbonization_axis",
@@ -394,9 +402,129 @@ class ScenarioSpec:
         return self.compose(other)
 
 
+@dataclass(frozen=True)
+class HourWindow:
+    """A named set of hours of day (0-23) — one slot of the W axis."""
+
+    name: str
+    hours: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("window needs a non-empty name")
+        hours = tuple(int(h) for h in self.hours)
+        if not hours or len(set(hours)) != len(hours) or \
+                any(not 0 <= h < 24 for h in hours):
+            raise ValueError(
+                f"window {self.name!r} needs distinct hours in [0, 24), "
+                f"got {self.hours}")
+        object.__setattr__(self, "hours", hours)
+
+    @classmethod
+    def block(cls, name: str, start: int, stop: int) -> "HourWindow":
+        """A contiguous ``[start, stop)`` block, e.g. night = (0, 6)."""
+        if not 0 <= start < stop <= 24:
+            raise ValueError(f"need 0 <= start < stop <= 24, got "
+                             f"({start}, {stop})")
+        return cls(name=name, hours=tuple(range(start, stop)))
+
+
 def baseline_spec() -> ScenarioSpec:
     """The identity scenario (paper configuration, no overrides)."""
     return ScenarioSpec()
+
+
+def _as_specs(specs) -> tuple[ScenarioSpec, ...]:
+    """Every engine's ``specs`` argument → a non-empty spec tuple.
+
+    Accepts specs or a :class:`ScenarioGrid` to expand; ``None`` is
+    the baseline scenario alone.
+    """
+    if specs is None:
+        return (baseline_spec(),)
+    out = specs.specs() if isinstance(specs, ScenarioGrid) else tuple(specs)
+    if not out:
+        raise ValueError("need at least one scenario")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The spec codec: specs ↔ JSON-safe data, through a closed type registry
+# ---------------------------------------------------------------------------
+
+#: Every class a spec document may name, by ``$type`` tag.  Nothing
+#: outside this table is ever constructed from a document.
+_CODEC_CLASSES = {cls.__name__: cls for cls in (
+    ScenarioSpec, HourWindow, DecarbonizationTrajectory, GridIntensityDB,
+    IntensitySeries, PueModel, HardwareCatalog, CpuSpec, GpuSpec,
+    MemorySpec, StorageSpec, NodeOverheads, MemoryType, StorageClass,
+    UnknownDevicePolicy)}
+
+
+def spec_to_dict(value):
+    """Encode a spec (or any value built from spec parts) as JSON data.
+
+    Scalars pass through; plain string-keyed dicts become JSON
+    objects.  Everything JSON cannot say is tagged with ``$type``:
+    tuples, other dicts (e.g. enum-keyed catalog tables, as key/value
+    pairs), enums, and the registered dataclasses (their init fields).
+    :func:`spec_from_dict` inverts it exactly.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, tuple):
+        return {"$type": "tuple", "items": [spec_to_dict(v) for v in value]}
+    if isinstance(value, dict):
+        if all(isinstance(k, str) and not k.startswith("$") for k in value):
+            return {k: spec_to_dict(v) for k, v in value.items()}
+        return {"$type": "dict", "items": [[spec_to_dict(k), spec_to_dict(v)]
+                                           for k, v in value.items()]}
+    tag = type(value).__name__
+    if _CODEC_CLASSES.get(tag) is not type(value):
+        raise TypeError(f"cannot encode {type(value).__qualname__} in a "
+                        "spec document")
+    if isinstance(value, enum.Enum):
+        return {"$type": tag, "value": value.value}
+    return {"$type": tag, **{f.name: spec_to_dict(getattr(value, f.name))
+                             for f in dataclasses.fields(value) if f.init}}
+
+
+def spec_from_dict(data):
+    """Decode :func:`spec_to_dict` output, validating as it builds.
+
+    Registered dataclasses are rebuilt through their constructors, so
+    every ``__post_init__`` check runs.  Anything else — an unknown
+    ``$type`` tag, a field the class does not take, a value its
+    validation rejects — raises :class:`~repro.errors.ParseError`.
+    """
+    try:
+        return _decode(data)
+    except ParseError:
+        raise
+    except (ReproError, TypeError, ValueError, KeyError,
+            RecursionError) as exc:
+        raise ParseError(f"invalid spec document: {exc}") from exc
+
+
+def _decode(data):
+    if data is None or isinstance(data, (bool, int, float, str)):
+        return data
+    if not isinstance(data, dict):
+        raise ParseError(f"unexpected {type(data).__name__} in a spec "
+                         "document")
+    tag = data.get("$type")
+    if tag is None:
+        return {k: _decode(v) for k, v in data.items()}
+    if tag == "tuple":
+        return tuple(_decode(v) for v in data["items"])
+    if tag == "dict":
+        return {_decode(k): _decode(v) for k, v in data["items"]}
+    cls = _CODEC_CLASSES.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ParseError(f"unknown $type tag {tag!r} in a spec document")
+    if issubclass(cls, enum.Enum):
+        return cls(data["value"])
+    return cls(**{k: _decode(v) for k, v in data.items() if k != "$type"})
 
 
 # ---------------------------------------------------------------------------

@@ -45,17 +45,9 @@ from repro.core.record import SystemRecord
 from repro.core.vectorized import FleetFrame, fleet_frame
 from repro.errors import InsufficientDataError
 from repro.scenarios.cube import ScenarioCube
-from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
+from repro.scenarios.spec import ScenarioGrid, ScenarioSpec, _as_specs
 
 __all__ = ["sweep", "sweep_scalar_reference"]
-
-
-def _as_specs(specs: "Iterable[ScenarioSpec] | ScenarioGrid",
-              ) -> tuple[ScenarioSpec, ...]:
-    out = specs.specs() if isinstance(specs, ScenarioGrid) else tuple(specs)
-    if not out:
-        raise ValueError("need at least one scenario")
-    return out
 
 
 def sweep(records: Sequence[SystemRecord],

@@ -53,28 +53,24 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import pickle
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.analysis.series import CarbonSeries
 from repro.core.embodied import EmbodiedModel
 from repro.core.operational import OperationalModel
 from repro.core.record import SystemRecord
-from repro.core.uncertainty import (
-    DEFAULT_MC_SAMPLES,
-    DEFAULT_MC_SEED,
-    UncertaintyBand,
-    total_with_uncertainty_arrays,
-)
 from repro.core.vectorized import FleetFrame
 from repro.grid.intervals import IntensitySeries
-from repro.scenarios.cube import ScenarioCube
-from repro.scenarios.spec import ScenarioGrid, ScenarioSpec
+from repro.scenarios.cube import FactorCube, ScenarioCube
+from repro.scenarios.spec import (
+    HourWindow,
+    ScenarioGrid,
+    ScenarioSpec,
+    _as_specs,
+)
 from repro.scenarios.sweep import sweep, sweep_scalar_reference
 
 __all__ = [
@@ -94,33 +90,6 @@ OFFPEAK_HOURS: int = 8
 #: Fields the hour-axis engine owns; stripped before the base sweep.
 _TIME_FIELDS = ("hour_profile", "load_hours", "greenest_hours",
                 "offpeak_shift")
-
-
-@dataclass(frozen=True)
-class HourWindow:
-    """A named set of hours of day (0-23) — one slot of the W axis."""
-
-    name: str
-    hours: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("window needs a non-empty name")
-        hours = tuple(int(h) for h in self.hours)
-        if not hours or len(set(hours)) != len(hours) or \
-                any(not 0 <= h < 24 for h in hours):
-            raise ValueError(
-                f"window {self.name!r} needs distinct hours in [0, 24), "
-                f"got {self.hours}")
-        object.__setattr__(self, "hours", hours)
-
-    @classmethod
-    def block(cls, name: str, start: int, stop: int) -> "HourWindow":
-        """A contiguous ``[start, stop)`` block, e.g. night = (0, 6)."""
-        if not 0 <= start < stop <= 24:
-            raise ValueError(f"need 0 <= start < stop <= 24, got "
-                             f"({start}, {stop})")
-        return cls(name=name, hours=tuple(range(start, stop)))
 
 
 def default_hour_windows() -> tuple[HourWindow, ...]:
@@ -243,15 +212,6 @@ def _strip_time(spec: ScenarioSpec) -> ScenarioSpec:
     return dataclasses.replace(spec, **{f: None for f in _TIME_FIELDS})
 
 
-def _as_specs(specs) -> tuple[ScenarioSpec, ...]:
-    if specs is None:
-        return (ScenarioSpec(),)
-    out = specs.specs() if isinstance(specs, ScenarioGrid) else tuple(specs)
-    if not out:
-        raise ValueError("need at least one scenario")
-    return out
-
-
 def _as_windows(windows) -> tuple[HourWindow, ...]:
     if windows is None:
         return default_hour_windows()
@@ -268,64 +228,36 @@ def _as_windows(windows) -> tuple[HourWindow, ...]:
 # The (scenario × hour-window × system) result
 # ---------------------------------------------------------------------------
 
-def _npz_path(path) -> str:
-    path = os.fspath(path)
-    return path if path.endswith(".npz") else path + ".npz"
-
-
 @dataclass(frozen=True)
-class ShiftCube:
+class ShiftCube(FactorCube):
     """Scenario × hour-window × system carbon, factorized over windows.
 
-    ``base`` is the atemporal :class:`~repro.scenarios.ScenarioCube`
-    (the ordinary 2-D sweep); the window axis rides as the
-    per-scenario ``(S, W)`` operational factor matrix.  Embodied
-    carbon is hour-invariant: its "factor" is identity and its values
-    repeat along the window axis.
+    A :class:`~repro.scenarios.FactorCube` whose axis is the hour
+    windows: ``base`` is the atemporal
+    :class:`~repro.scenarios.ScenarioCube` (the ordinary 2-D sweep);
+    the window axis rides as the per-scenario ``(S, W)`` operational
+    factor matrix.  Embodied carbon is hour-invariant: its factors are
+    exactly 1.0, so its values equal the base row in every window.
+    Window arguments are an index, a name or an :class:`HourWindow`.
     """
 
     base: ScenarioCube
     windows: tuple[HourWindow, ...]
     op_hour_factors: np.ndarray            # (S, W)
 
-    def __post_init__(self) -> None:
-        shape = (self.base.n_scenarios, len(self.windows))
-        if self.op_hour_factors.shape != shape:
-            raise ValueError(
-                f"op_hour_factors shape {self.op_hour_factors.shape} "
-                f"!= {shape}")
-        if not self.windows:
-            raise ValueError("need at least one hour window")
+    labels = property(lambda self: self.window_names)
+    op_factors = property(lambda self: self.op_hour_factors)
+    emb_factors = property(lambda self: np.ones_like(self.op_hour_factors))
 
-    # -- axes ----------------------------------------------------------------
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.base.n_scenarios
+    # -- the window axis -----------------------------------------------------
 
     @property
     def n_windows(self) -> int:
         return len(self.windows)
 
     @property
-    def n_systems(self) -> int:
-        return self.base.n_systems
-
-    @property
-    def specs(self) -> tuple[ScenarioSpec, ...]:
-        return self.base.specs
-
-    @property
-    def scenario_names(self) -> tuple[str, ...]:
-        return self.base.scenario_names
-
-    @property
     def window_names(self) -> tuple[str, ...]:
         return tuple(w.name for w in self.windows)
-
-    def index(self, scenario) -> int:
-        """Scenario-axis position (index, name, or spec)."""
-        return self.base.index(scenario)
 
     def window_index(self, window) -> int:
         """Window-axis position (index, name, or :class:`HourWindow`)."""
@@ -343,78 +275,9 @@ class ShiftCube:
                            f"[0, {len(self.windows)})")
         return w
 
-    # -- materialization -----------------------------------------------------
-
-    def values(self, footprint: str = "operational",
-               window=None) -> np.ndarray:
-        """Carbon values, MT CO2e (``nan`` = uncovered).
-
-        ``(S, W, n)`` for the whole cube, ``(S, n)`` when ``window``
-        is given.  Operational cells are one multiply of the base
-        sweep's value by the scenario/window factor — bit-identical to
-        :func:`shift_scalar_reference`; embodied footprints are
-        hour-invariant and repeat the base row.
-        """
-        base = self.base.values(footprint)
-        if footprint == "operational":
-            if window is not None:
-                return base * self.op_hour_factors[
-                    :, self.window_index(window), None]
-            return base[:, None, :] * self.op_hour_factors[:, :, None]
-        if window is not None:
-            return base.copy()
-        return np.repeat(base[:, None, :], self.n_windows, axis=1)
-
-    def uncertainty(self, footprint: str = "operational") -> np.ndarray:
-        """Relative uncertainty, ``(S, n)`` — window-invariant.
-
-        A window factor multiplies every sample of a record's
-        distribution alike, so the relative width is unchanged (the
-        year-axis engine's argument, hour-sized).
-        """
-        return self.base.uncertainty(footprint)
-
-    def coverage(self, footprint: str = "operational") -> np.ndarray:
-        """(S, n) bool mask of covered systems (window-invariant)."""
-        return self.base.coverage(footprint)
-
-    def at_window(self, window) -> ScenarioCube:
-        """The cube's one-window slice as an ordinary scenario cube.
-
-        Everything downstream of :class:`~repro.scenarios.ScenarioCube`
-        — delta tables, figures, npz persistence — works on a shifted
-        window unchanged.
-        """
-        op = self.values("operational", window)
-        emb = self.values("embodied", window)
-        op_unc = np.where(np.isnan(op), np.nan, self.base.operational_unc)
-        emb_unc = np.where(np.isnan(emb), np.nan, self.base.embodied_unc)
-        return ScenarioCube(
-            specs=self.base.specs, ranks=self.base.ranks,
-            names=self.base.names,
-            operational_mt=op, operational_unc=op_unc,
-            embodied_mt=emb, embodied_unc=emb_unc,
-            lifetime_years=self.base.lifetime_years,
-        )
-
-    # -- reductions ----------------------------------------------------------
-
-    def totals(self, footprint: str = "operational") -> np.ndarray:
-        """(S, W) fleet totals over covered systems, MT CO2e.
-
-        Factorized: ``base_total × window_factor`` (the year engine's
-        float order); embodied totals repeat along the window axis.
-        """
-        base_totals = self.base.totals(footprint)
-        if footprint == "operational":
-            return base_totals[:, None] * self.op_hour_factors
-        return np.repeat(base_totals[:, None], self.n_windows, axis=1)
-
-    def total(self, scenario, window,
-              footprint: str = "operational") -> float:
-        """One (scenario, window) fleet total, MT CO2e."""
-        return float(self.totals(footprint)[self.index(scenario),
-                                            self.window_index(window)])
+    _point_index = window_index
+    #: The cube's one-window slice as an ordinary scenario cube.
+    at_window = FactorCube.at
 
     def shift_savings(self, scenario, footprint: str = "operational",
                       ) -> float:
@@ -425,72 +288,6 @@ class ShiftCube:
         if not totals[0]:
             return float("nan")
         return float(1.0 - min(totals) / totals[0])
-
-    def series(self, scenario, window,
-               footprint: str = "operational") -> CarbonSeries:
-        """One (scenario, window) rank-indexed series (None = uncovered)."""
-        s = self.index(scenario)
-        w = self.window_index(window)
-        row = self.values(footprint, w)[s]
-        base = "embodied" if footprint.startswith("embodied") else footprint
-        return CarbonSeries(
-            footprint=base,
-            scenario=f"{self.base.specs[s].name}@{self.windows[w].name}",
-            values={rank: (None if np.isnan(v) else float(v))
-                    for rank, v in zip(self.base.ranks, row)},
-        )
-
-    def band(self, scenario, window, footprint: str = "operational", *,
-             n_samples: int = DEFAULT_MC_SAMPLES,
-             seed: int = DEFAULT_MC_SEED) -> UncertaintyBand:
-        """Monte-Carlo fleet-total band for one (scenario, window).
-
-        Bit-identical to the same cell of the batched
-        :meth:`band_stack` (the seed-stream contract).
-        """
-        s = self.index(scenario)
-        return total_with_uncertainty_arrays(
-            self.values(footprint, window)[s],
-            self.uncertainty(footprint)[s],
-            n_samples=n_samples, seed=seed)
-
-    def band_stack(self, footprint: str = "operational",
-                   window=None, *,
-                   n_samples: int = DEFAULT_MC_SAMPLES,
-                   seed: int = DEFAULT_MC_SEED, method: str = "auto",
-                   max_workers: int | None = None):
-        """Band statistics for the whole cube from one batched draw.
-
-        Returns a :class:`repro.uncertainty.mc.BandStack` — shape
-        ``(S, W)`` for the full cube, ``(S,)`` when ``window`` is
-        given — every cell bit-identical to the per-cell :meth:`band`
-        call.  ``method="threads"`` fans cell blocks over a thread
-        pool.
-        """
-        from repro.uncertainty.mc import mc_band_stack
-
-        values = self.values(footprint, window)
-        unc = self.uncertainty(footprint)
-        if window is None:
-            unc = np.broadcast_to(unc[:, None, :], values.shape)
-        return mc_band_stack(values, unc, n_samples=n_samples, seed=seed,
-                             method=method, max_workers=max_workers)
-
-    def bands(self, footprint: str = "operational", window=None, *,
-              n_samples: int = DEFAULT_MC_SAMPLES,
-              seed: int = DEFAULT_MC_SEED, method: str = "auto",
-              kind: str = "quantile", max_workers: int | None = None,
-              ) -> dict[str, UncertaintyBand]:
-        """Per-scenario bands at one window (default: the first).
-
-        One draw kernel for all scenarios, keyed by scenario name.
-        """
-        window = 0 if window is None else window
-        stack = self.band_stack(footprint, window, n_samples=n_samples,
-                                seed=seed, method=method,
-                                max_workers=max_workers)
-        return {spec.name: stack.band(s, kind=kind)
-                for s, spec in enumerate(self.base.specs)}
 
     def table_rows(self, footprint: str = "operational",
                    ) -> list[tuple[str, list[float], float]]:
@@ -504,48 +301,6 @@ class ShiftCube:
                 else float("nan")
             rows.append((spec.name, per_window, multiple))
         return rows
-
-    # -- persistence ---------------------------------------------------------
-
-    def save_npz(self, path) -> None:
-        """Persist the cube to one ``.npz`` file (exact round trip).
-
-        Same layout discipline as the scenario/projection cubes:
-        numeric payload as lossless arrays, labeled axes as one
-        pickled blob packed into a uint8 array.
-        """
-        meta = pickle.dumps(
-            {"specs": self.base.specs, "ranks": self.base.ranks,
-             "names": self.base.names, "windows": self.windows},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        np.savez_compressed(
-            _npz_path(path),
-            meta=np.frombuffer(meta, dtype=np.uint8),
-            operational_mt=self.base.operational_mt,
-            operational_unc=self.base.operational_unc,
-            embodied_mt=self.base.embodied_mt,
-            embodied_unc=self.base.embodied_unc,
-            lifetime_years=self.base.lifetime_years,
-            op_hour_factors=self.op_hour_factors,
-        )
-
-    @classmethod
-    def load_npz(cls, path) -> "ShiftCube":
-        """Reload a cube saved by :meth:`save_npz` (exact round trip)."""
-        with np.load(_npz_path(path)) as data:
-            meta = pickle.loads(data["meta"].tobytes())
-            base = ScenarioCube(
-                specs=tuple(meta["specs"]),
-                ranks=tuple(meta["ranks"]),
-                names=tuple(meta["names"]),
-                operational_mt=data["operational_mt"],
-                operational_unc=data["operational_unc"],
-                embodied_mt=data["embodied_mt"],
-                embodied_unc=data["embodied_unc"],
-                lifetime_years=data["lifetime_years"],
-            )
-            return cls(base=base, windows=tuple(meta["windows"]),
-                       op_hour_factors=data["op_hour_factors"])
 
 
 # ---------------------------------------------------------------------------

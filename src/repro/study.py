@@ -123,6 +123,13 @@ class StudyResult:
 
     # -- scenario sweeps ------------------------------------------------------
 
+    def _records(self, data_scenario: str) -> list:
+        """The ``"public"`` or ``"baseline"`` record view, as a list."""
+        if data_scenario not in ("public", "baseline"):
+            raise ValueError(f"unknown data scenario {data_scenario!r}; "
+                             "expected 'public' or 'baseline'")
+        return list(getattr(self, f"{data_scenario}_records"))
+
     def scenario_sweep(self, specs, *, data_scenario: str = "public"):
         """Sweep model scenarios over this study's records as one 2-D kernel.
 
@@ -138,14 +145,7 @@ class StudyResult:
         Returns a :class:`~repro.scenarios.ScenarioCube`.
         """
         from repro.scenarios import sweep
-        if data_scenario == "public":
-            records = list(self.public_records)
-        elif data_scenario == "baseline":
-            records = list(self.baseline_records)
-        else:
-            raise ValueError(f"unknown data scenario {data_scenario!r}; "
-                             "expected 'public' or 'baseline'")
-        return sweep(records, specs,
+        return sweep(self._records(data_scenario), specs,
                      operational_model=self.easyc.operational_model,
                      embodied_model=self.easyc.embodied_model)
 
@@ -173,15 +173,9 @@ class StudyResult:
                 paper's constants.
         """
         from repro.projection import project_sweep
-        if data_scenario == "public":
-            records = list(self.public_records)
-        elif data_scenario == "baseline":
-            records = list(self.baseline_records)
-        else:
-            raise ValueError(f"unknown data scenario {data_scenario!r}; "
-                             "expected 'public' or 'baseline'")
         return project_sweep(
-            records, specs, years=years, end_year=end_year,
+            self._records(data_scenario), specs, years=years,
+            end_year=end_year,
             turnover=self.turnover if use_turnover else None,
             operational_model=self.easyc.operational_model,
             embodied_model=self.easyc.embodied_model)

@@ -1,4 +1,4 @@
-"""Counters, the failure-event ring, and the warn-once reset hook."""
+"""Counters and the warn-once reset hook."""
 
 from __future__ import annotations
 
@@ -6,10 +6,9 @@ import warnings
 
 import pytest
 
-from repro import envflags, obs
+from repro import obs
 from repro.core.vectorized import clear_frame_cache, fleet_frame
 from repro.data.synth_fleet import synth_fleet
-from repro.obs import metrics as metrics_mod
 from repro.parallel import faults
 
 
@@ -34,49 +33,16 @@ class TestCounters:
         assert obs.get_counter("test.aa_first") >= 1  # ... changes nothing
 
 
-class TestEvents:
-    def test_record_and_filter(self):
-        obs.record_event("test-kind-x", detail=1)
-        obs.record_event("test-kind-y", detail=2)
-        xs = obs.events("test-kind-x")
-        assert xs and xs[-1] == {"kind": "test-kind-x", "detail": 1}
-        all_events = obs.events()
-        assert any(e["kind"] == "test-kind-y" for e in all_events)
-
-    def test_ring_is_bounded(self):
-        for i in range(metrics_mod._EVENT_CAP + 10):
-            obs.record_event("test-flood", i=i)
-        flood = obs.events("test-flood")
-        assert len(flood) <= metrics_mod._EVENT_CAP
-        # Newest survive, oldest were evicted.
-        assert flood[-1]["i"] == metrics_mod._EVENT_CAP + 9
-
-
 class TestReset:
-    def test_reset_metrics_clears_counters_and_events(self):
+    def test_reset_metrics_clears_counters(self):
         obs.inc("test.reset_probe")
-        obs.record_event("test-reset-probe")
         obs.reset_metrics()
         try:
             assert obs.get_counter("test.reset_probe") == 0
-            assert obs.events("test-reset-probe") == []
         finally:
             # This registry is process-lifetime state other tests (and
             # doctor) read; leave a trace that the suite ran.
             obs.inc("test.reset_probe")
-
-    def test_reset_warnings_rearms_envflags(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_OBS_FLAG", "definitely-not-a-bool")
-        with pytest.warns(RuntimeWarning, match="not a recognized boolean"):
-            envflags.env_flag("REPRO_TEST_OBS_FLAG")
-        # Warn-once: silent the second time ...
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            envflags.env_flag("REPRO_TEST_OBS_FLAG")
-        # ... until the shared reset hook re-arms the registry.
-        obs.reset_warnings()
-        with pytest.warns(RuntimeWarning, match="not a recognized boolean"):
-            envflags.env_flag("REPRO_TEST_OBS_FLAG")
 
     def test_reset_warnings_rearms_fault_parser(self):
         spec = "totally@bogus-point"

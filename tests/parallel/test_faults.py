@@ -53,13 +53,12 @@ class TestFaultSpecParsing:
     def test_grammar_forms(self):
         plan = FaultPlan.parse(
             "kill@batch=3, hang@request=1:5s, raise@cache-load,"
-            " fail@cache-load, kill@request=0*2")
+            " fail@cache-load")
         assert plan.rules == (
             FaultRule("kill", "batch", selector=3),
             FaultRule("hang", "request", selector=1, arg_s=5.0),
             FaultRule("raise", "cache-load"),
             FaultRule("fail", "cache-load"),
-            FaultRule("kill", "request", selector=0, fires=2),
         )
 
     @pytest.mark.parametrize("text,seconds", [
@@ -69,12 +68,13 @@ class TestFaultSpecParsing:
         plan = FaultPlan.parse(f"hang@request:{text}")
         assert plan.rules[0].arg_s == seconds
 
-    # ``block`` is not a fault point either, but each of these entries
-    # is rejected for its action, selector or fire count before the
-    # point name is checked.
+    # ``block`` is not a fault point either, but most of these entries
+    # are rejected for their action or selector before the point name
+    # is checked.  The grammar has no ``*FIRES`` suffix: a ``*`` lands
+    # in the point name or the selector, and the entry is malformed.
     @pytest.mark.parametrize("entry", [
         "explode@block", "kill@nowhere", "kill@", "kill@block=x",
-        "kill@block*0",
+        "kill@block*0", "kill@request=0*2",
     ])
     def test_malformed_entries_warn_and_drop(self, entry):
         with pytest.warns(RuntimeWarning, match="malformed"):
@@ -90,18 +90,16 @@ class TestFaultSpecParsing:
         assert FaultPlan.parse("").rules == ()
         assert FaultPlan.parse(" , ,").rules == ()
 
-    def test_fires_bounds_attempts(self):
-        rule = FaultRule("kill", "batch", selector=0, fires=2)
-        assert rule.matches("batch", 0, attempt=0)
-        assert rule.matches("batch", 0, attempt=1)
-        assert not rule.matches("batch", 0, attempt=2)
-        assert not rule.matches("batch", 1, attempt=0)
-        assert not rule.matches("request", 0, attempt=0)
+    def test_rule_matches_its_point_and_selector(self):
+        rule = FaultRule("kill", "batch", selector=0)
+        assert rule.matches("batch", 0)
+        assert not rule.matches("batch", 1)
+        assert not rule.matches("request", 0)
 
     def test_selectorless_rule_matches_every_index(self):
         rule = FaultRule("raise", "request")
-        assert rule.matches("request", 0, attempt=0)
-        assert rule.matches("request", 17, attempt=0)
+        assert rule.matches("request", 0)
+        assert rule.matches("request", 17)
 
     def test_active_plan_tracks_env(self, monkeypatch):
         monkeypatch.setenv(faults.FAULT_SPEC_ENV, "raise@cache-load")

@@ -3,6 +3,9 @@ contract — every ScenarioCube row bit-identical to the scalar
 per-scenario loop (values, uncertainty, coverage masks, Monte-Carlo
 bands) on arbitrary scenario grids and degraded fleets."""
 
+import json
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +17,14 @@ from repro.core.embodied import EmbodiedModel
 from repro.core.operational import OperationalModel
 from repro.core.record import SystemRecord
 from repro.core.vectorized import FleetFrame
+from repro.errors import ParseError
 from repro.fleets import DOE_LIKE_FLEET, sweep_fleet
 from repro.grid.intensity import (
     DEFAULT_GRID_DB,
     DecarbonizationTrajectory,
     GridIntensityDB,
 )
+from repro.grid.intervals import synthetic_diurnal
 from repro.grid.pue import PueModel
 from repro.hardware.catalog import DEFAULT_CATALOG, UnknownDevicePolicy
 from repro.scenarios import (
@@ -341,6 +346,30 @@ class TestSweepBitIdentity:
 # Cube reductions
 # ---------------------------------------------------------------------------
 
+class _Touch:
+    """A pickle payload with a side effect: unpickling creates a file."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __reduce__(self):
+        return (_touch, (self.path,))
+
+
+def _touch(path: str) -> None:
+    open(path, "w").close()
+
+
+def _edit_meta(path, edit) -> None:
+    """Rewrite a saved cube file with its JSON header edited in place."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    doc = json.loads(arrays.pop("meta").tobytes())
+    edit(doc)
+    np.savez(path, meta=np.frombuffer(json.dumps(doc).encode(),
+                                      dtype=np.uint8), **arrays)
+
+
 class TestScenarioCube:
     @pytest.fixture(scope="class")
     def cube(self, dataset):
@@ -436,6 +465,64 @@ class TestScenarioCube:
         loaded = ScenarioCube.load_npz(bare)
         assert loaded.specs == cube.specs
         assert_cubes_identical(loaded, cube)
+
+    def test_npz_round_trip_nested_specs(self, dataset, tmp_path):
+        """Catalogs, grids, PUE models, trajectories and hour profiles
+        come back equal through the spec codec (constructors re-run)."""
+        specs = (baseline_spec(),
+                 ScenarioSpec(name="strict", catalog=DEFAULT_CATALOG
+                              .with_policy(UnknownDevicePolicy.STRICT)),
+                 ScenarioSpec(name="flat-grid",
+                              grid=GridIntensityDB(region_aci={})),
+                 ScenarioSpec(name="hot-rooms",
+                              pue=PueModel(measured_power_pue=1.5,
+                                           component_power_pue=1.6)),
+                 ScenarioSpec(name="decarb", year=2030,
+                              trajectory=DecarbonizationTrajectory(
+                                  base_year=2024, annual_decline=0.05)),
+                 ScenarioSpec(name="night", load_hours=(0, 1, 2),
+                              hour_profile=synthetic_diurnal(0.4)))
+        cube = sweep(dataset.public_records()[:40], specs)
+        cube.save_npz(tmp_path / "nested")
+        loaded = ScenarioCube.load_npz(tmp_path / "nested")
+        assert loaded.specs == cube.specs
+        assert loaded.specs[1].catalog.unknown_policy is \
+            UnknownDevicePolicy.STRICT
+        assert_cubes_identical(loaded, cube)
+
+    @pytest.mark.parametrize("case", ["pickle-payload", "truncated",
+                                      "unknown-tag", "version-1",
+                                      "shift-file"])
+    def test_load_npz_rejects_bad_files(self, cube, dataset, tmp_path,
+                                        case):
+        """Every malformed cube file is a ParseError; a pickled header
+        is never unpickled, so its payload never runs."""
+        path = tmp_path / "bad.npz"
+        sentinel = tmp_path / "payload-ran"
+        payload = pickle.dumps(_Touch(str(sentinel)))
+        if case == "pickle-payload":
+            np.savez(path, meta=np.frombuffer(payload, dtype=np.uint8),
+                     operational_mt=cube.operational_mt)
+        elif case == "truncated":
+            cube.save_npz(path)
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+        elif case == "unknown-tag":
+            cube.save_npz(path)
+            _edit_meta(path, lambda doc: doc["specs"][0].update(
+                {"$type": "Popen"}))
+        elif case == "version-1":
+            cube.save_npz(path)
+            _edit_meta(path, lambda doc: doc.update(version=1))
+        else:
+            scenarios.shift_sweep(dataset.public_records()[:20]
+                                  ).save_npz(path)
+        with pytest.raises(ParseError):
+            ScenarioCube.load_npz(path)
+        assert not sentinel.exists()
+        # The payload is live: unpickling it would have run it.
+        pickle.loads(payload)
+        assert sentinel.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Named-fleet extension + CLI tests."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -236,6 +239,29 @@ class TestCli:
         assert code == 0
         reloaded = capsys.readouterr().out
         assert "aci x0.5" in first and "aci x0.5" in reloaded
+
+
+    @pytest.mark.parametrize("command", ["scenarios", "shift"])
+    @pytest.mark.parametrize("problem", ["missing", "wrong-kind", "legacy"])
+    def test_load_failure_is_a_message_not_a_traceback(
+            self, capsys, tmp_path, command, problem):
+        message = {"missing": "No such file", "wrong-kind": "Cube', not a",
+                   "legacy": "save it again"}[problem]
+        path = tmp_path / "cube.npz"
+        if problem == "wrong-kind":
+            other = "shift" if command == "scenarios" else "scenarios"
+            assert main([other, "--fleet", "access-like",
+                         "--save", str(path)]) == 0
+        elif problem == "legacy":
+            # The pre-v2 layout: compressed arrays, pickled header.
+            meta = pickle.dumps({"specs": (), "ranks": (), "names": ()})
+            np.savez_compressed(path, meta=np.frombuffer(meta, np.uint8))
+        capsys.readouterr()
+        assert main([command, "--load", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestShiftCli:
