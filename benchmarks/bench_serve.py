@@ -1,7 +1,7 @@
-"""Serving benchmark: latency, throughput, and the scale-out ratios.
+"""Serving benchmark: latency, throughput, and the serving-layer ratios.
 
 Not a paper figure — the engineering baseline for the ``repro serve``
-daemon.  Five claims are measured and recorded in
+daemon.  Four claims are measured and recorded in
 ``results/BENCH_serve.json`` (and gated by
 ``check_throughput_regression.py --serve-baseline``):
 
@@ -23,16 +23,11 @@ daemon.  Five claims are measured and recorded in
   ``--cache-dir`` answers a previous lifetime's question from the disk
   tier without re-running the sweep kernel (asserted on the
   ``kernel.cells`` counter) — ``l2_warm_restart.speedup_vs_cold``.
-* **replica tier**: ``--workers 2`` vs ``--workers 1`` throughput on
-  cached hits through real daemon processes
-  (``replica_tier.speedup_vs_single``).  On a single-core host this is
-  honestly ~1.0x — the recorded value is the regression baseline, not
-  a scaling claim.
 
 Correctness rides along: every coalesced response is asserted
 byte-identical to the response the serial run produced for the same
 body — the bit-identity contract, measured at the HTTP layer — and
-every keep-alive / L2 / replica response byte-identical to its
+every keep-alive / L2 response byte-identical to its
 fresh-connection cold reference.
 """
 
@@ -42,19 +37,12 @@ import asyncio
 import concurrent.futures
 import http.client
 import json
-import os
-import signal
 import statistics
-import subprocess
-import sys
 import time
 import urllib.request
-from pathlib import Path
 
 from repro import obs
 from repro.serve import AssessmentServer, ServeConfig
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 FLEET = "eurohpc-like"
 
@@ -155,7 +143,7 @@ def _measure_requests(concurrent: bool):
 
 _KEEPALIVE_N = 40
 
-#: The keep-alive / L2 / replica probe body: cheap enough to prime
+#: The keep-alive / L2 probe body: cheap enough to prime
 #: once, then every timed request is a cache hit — the regime where
 #: connection and protocol overhead dominates and the ratios are
 #: about the serving layer, not the kernel.
@@ -245,78 +233,6 @@ def _measure_l2_warm_restart(cache_dir):
     return cold_s, hits, payload
 
 
-def _replica_rps(workers, cache_dir):
-    """Throughput of concurrent cached hits against a real tier."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_FAULT_SPEC", None)
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", str(workers), "--cache-dir", str(cache_dir)],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, cwd=REPO_ROOT, env=env)
-    try:
-        line = process.stdout.readline()
-        assert "listening on http://127.0.0.1:" in line, line
-        port = int(line.split("http://127.0.0.1:", 1)[1].split()[0])
-        deadline = time.monotonic() + 30
-        while True:
-            try:
-                with urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/readyz", timeout=10) \
-                        as response:
-                    report = json.loads(response.read())
-                tier = report.get("replica_tier") or {}
-                if report.get("ready") and \
-                        tier.get("n_ready", workers) >= workers:
-                    break
-            except OSError:
-                pass
-            assert time.monotonic() < deadline, "daemon never ready"
-            time.sleep(0.1)
-
-        reference = _timed_tier_prime(port)
-        n_clients, per_client = 4, 25
-        with concurrent.futures.ThreadPoolExecutor(n_clients) as clients:
-            started = time.perf_counter()
-            walls = list(clients.map(
-                lambda _: _timed_tier_client(port, per_client, reference),
-                range(n_clients)))
-            wall_s = time.perf_counter() - started
-        assert all(walls)
-        return n_clients * per_client / wall_s
-    finally:
-        process.send_signal(signal.SIGTERM)
-        try:
-            process.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
-
-
-def _timed_tier_prime(port):
-    payload = json.dumps(_HIT_BODY).encode("utf-8")
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}/v1/sweep", data=payload, method="POST")
-    with urllib.request.urlopen(request, timeout=60) as response:
-        return response.read()
-
-
-def _timed_tier_client(port, n, reference):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-    payload = json.dumps(_HIT_BODY).encode("utf-8")
-    try:
-        for _ in range(n):
-            conn.request("POST", "/v1/sweep", body=payload,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            body = response.read()
-            assert response.status == 200 and body == reference
-        return True
-    finally:
-        conn.close()
-
-
 def test_serve_warm_cold_and_coalescing(results_dir, tmp_path):
     cold_s, warm_samples = _measure_warm_vs_cold()
     warm = _percentiles(warm_samples)
@@ -353,9 +269,6 @@ def test_serve_warm_cold_and_coalescing(results_dir, tmp_path):
     l2_speedup = l2_cold_s * 1e3 / l2_hit["p50"]
     assert l2_speedup > 1.0, (l2_cold_s, l2_hit)
 
-    single_rps = _replica_rps(1, tmp_path / "tier1-l2")
-    tier_rps = _replica_rps(2, tmp_path / "tier2-l2")
-
     baseline = {
         "benchmark": "bench_serve",
         "fleet": FLEET,
@@ -383,12 +296,6 @@ def test_serve_warm_cold_and_coalescing(results_dir, tmp_path):
             "hit_ms": l2_hit,
             "speedup_vs_cold": l2_speedup,
         },
-        "replica_tier": {
-            "workers": 2,
-            "single_rps": single_rps,
-            "tier_rps": tier_rps,
-            "speedup_vs_single": tier_rps / single_rps,
-        },
     }
     path = results_dir / "BENCH_serve.json"
     path.write_text(json.dumps(baseline, indent=2) + "\n", encoding="utf-8")
@@ -397,5 +304,4 @@ def test_serve_warm_cold_and_coalescing(results_dir, tmp_path):
           f"{baseline['coalesced']['throughput_rps']:.0f} req/s "
           f"({baseline['coalesced']['speedup_vs_serial']:.2f}x vs serial), "
           f"keep-alive {keepalive_speedup:.2f}x vs close, L2 restart "
-          f"{l2_speedup:.0f}x vs cold, tier "
-          f"{baseline['replica_tier']['speedup_vs_single']:.2f}x vs single")
+          f"{l2_speedup:.0f}x vs cold")

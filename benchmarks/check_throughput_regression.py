@@ -37,7 +37,7 @@ CPUs.
 
 With ``--serve-baseline``/``--serve-current`` the gate also reads
 ``BENCH_serve.json`` (the ``repro serve`` daemon benchmark) and checks
-five machine-normalized ratios against the committed values, at
+four machine-normalized ratios against the committed values, at
 ``--serve-max-regression`` tolerance (default 50 % — these ratios mix
 HTTP overhead with kernel time, so cross-machine variance is wide):
 
@@ -50,10 +50,7 @@ HTTP overhead with kernel time, so cross-machine variance is wide):
   floor, the scale-out acceptance criterion);
 * ``l2_warm_restart.speedup_vs_cold`` — a restarted daemon's shared-L2
   hit against the cold kernel run (plus a lower-is-better latency
-  ceiling on ``l2_warm_restart.hit_ms.p50``);
-* ``replica_tier.speedup_vs_single`` — ``--workers 2`` against
-  ``--workers 1`` cached-hit throughput (≈1.0 on single-core
-  runners; gated as a regression baseline, not a scaling claim).
+  ceiling on ``l2_warm_restart.hit_ms.p50``).
 
 Usage::
 
@@ -95,7 +92,6 @@ SERVE_METRICS = (
     "coalesced.speedup_vs_serial",
     "keepalive.speedup_vs_close",
     "l2_warm_restart.speedup_vs_cold",
-    "replica_tier.speedup_vs_single",
 )
 
 #: Absolute floor for keep-alive vs per-request connections — the

@@ -291,17 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default 300)")
     srv.add_argument("--cache-entries", type=int, default=256,
                      help="result-cache capacity (LRU; default 256)")
-    srv.add_argument("--janitor-interval-s", type=float, default=30.0,
-                     help="seconds between replica-status refreshes "
-                          "(default 30)")
-    srv.add_argument("--workers", type=int, default=1,
-                     help="replica count; >1 runs a supervised tier "
-                          "sharing one address and one L2 cache "
-                          "(default 1)")
     srv.add_argument("--cache-dir", default=None, metavar="DIR",
-                     help="shared L2 result-cache directory (survives "
-                          "restarts; default: none for --workers 1, a "
-                          "tier-scoped scratch dir otherwise)")
+                     help="L2 result-cache directory (survives "
+                          "restarts; default: none)")
     srv.add_argument("--cache-l2-bytes", type=int, default=64 << 20,
                      help="L2 byte budget before mtime-LRU eviction "
                           "(default 64 MiB)")
@@ -314,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--stream-threshold-bytes", type=int, default=1 << 16,
                      help="chunk-stream response bodies above this size "
                           "(default 64 KiB)")
-    # Replica plumbing — set by the tier supervisor, not by operators.
-    srv.add_argument("--replica-index", type=int, default=0,
-                     help=argparse.SUPPRESS)
-    srv.add_argument("--tier-dir", default=None, help=argparse.SUPPRESS)
-    srv.add_argument("--inherit-socket", type=int, default=None,
-                     help=argparse.SUPPRESS)
-    srv.add_argument("--reuseport", action="store_true",
-                     help=argparse.SUPPRESS)
 
     profile = sub.add_parser(
         "profile",
@@ -708,9 +692,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the warm assessment daemon until SIGTERM.
 
-    ``--workers N`` (N > 1) hands off to the replica-tier supervisor
-    (:func:`repro.serve.replicas.run_tier`): N supervised daemon
-    replicas behind one address, sharing one L2 result cache.
+    An out-of-range option is one stderr line and exit 2.
     """
     from repro.serve import ServeConfig, serve
 
@@ -721,23 +703,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             default_deadline_s=args.default_deadline_s,
             max_deadline_s=args.max_deadline_s,
             cache_entries=args.cache_entries,
-            janitor_interval_s=args.janitor_interval_s,
             keepalive_idle_s=args.keepalive_idle_s,
             keepalive_max_requests=args.keepalive_max_requests,
             stream_threshold_bytes=args.stream_threshold_bytes,
             cache_dir=args.cache_dir,
-            cache_l2_bytes=args.cache_l2_bytes,
-            workers=args.workers,
-            replica_index=args.replica_index,
-            tier_dir=args.tier_dir,
-            inherit_socket_fd=args.inherit_socket,
-            reuseport=args.reuseport)
+            cache_l2_bytes=args.cache_l2_bytes)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    if config.workers > 1:
-        from repro.serve.replicas import run_tier
-        return run_tier(config)
     return serve(config)
 
 

@@ -7,9 +7,8 @@ admission (shed-oldest, 429 + ``Retry-After``), a circuit breaker,
 checksum-validated result
 caching, crash-safe warm-state rebuild, and graceful SIGTERM drain.
 
-Scale-out (``--workers N``): a supervised replica tier behind one
-address (``repro.serve.replicas``), persistent HTTP/1.1 connections
-with chunked streaming, and a shared two-level result cache
+One asyncio process serves persistent HTTP/1.1 connections with
+chunked streaming, over a two-level result cache
 (``repro.serve.cachetier``) whose disk L2 survives restarts.
 
 See ``docs/serving.md`` for the operational story.
@@ -44,9 +43,7 @@ from repro.serve.lifecycle import (
     BREAKER_OPEN,
     CircuitBreaker,
     WarmState,
-    read_tier_status,
 )
-from repro.serve.replicas import reuseport_available, run_tier
 
 __all__ = [
     "ACCEPTANCE_GRID_AXES",
@@ -75,10 +72,7 @@ __all__ = [
     "fleet_records",
     "l2_stats",
     "parse_request",
-    "read_tier_status",
     "render_doctor_table",
     "render_prometheus",
-    "reuseport_available",
-    "run_tier",
     "serve",
 ]

@@ -15,9 +15,7 @@ Endpoints::
 
     GET  /healthz    liveness: 200 while the event loop runs
     GET  /readyz     readiness: 200 unless breaker-open or draining;
-                     body embeds the shared doctor report (plus the
-                     replica-tier aggregate when running under
-                     ``--workers N``)
+                     body embeds the shared doctor report
     GET  /metrics    the obs counter snapshot as JSON; Prometheus text
                      exposition via ``?format=prometheus`` or
                      ``Accept: text/plain``
@@ -40,8 +38,8 @@ to the computed one.
 
 The result cache is two-level when ``--cache-dir`` is configured
 (:mod:`repro.serve.cachetier`): the in-process LRU stays L1, and a
-checksummed file-per-digest directory becomes L2 — shared by every
-replica in a tier and surviving daemon restarts.
+checksummed file-per-digest directory becomes L2 — surviving daemon
+restarts, and safe to share between daemons on one host.
 
 SIGTERM starts a graceful drain: readiness drops, new requests are
 refused (503 ``draining``), admitted work finishes, a final
@@ -53,9 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
-import socket
 from dataclasses import dataclass
 from typing import Any
 
@@ -79,12 +75,7 @@ from repro.serve.health import (
     doctor_report,
     render_prometheus,
 )
-from repro.serve.lifecycle import (
-    CircuitBreaker,
-    WarmState,
-    read_tier_status,
-    write_replica_status,
-)
+from repro.serve.lifecycle import CircuitBreaker, WarmState
 
 __all__ = ["ServeConfig", "AssessmentServer", "serve"]
 
@@ -105,7 +96,6 @@ class ServeConfig:
     default_deadline_s: float = 30.0
     max_deadline_s: float = 300.0
     cache_entries: int = 256
-    janitor_interval_s: float = 30.0
     breaker_degrade_after: int = 2
     breaker_open_after: int = 5
     breaker_close_after: int = 2
@@ -114,23 +104,32 @@ class ServeConfig:
     keepalive_idle_s: float = 5.0     # close a silent connection
     keepalive_max_requests: int = 100  # then ask the client to reconnect
     stream_threshold_bytes: int = 1 << 16  # chunk bodies above this
-    # -- shared L2 result cache ------------------------------------------
+    # -- L2 result cache -------------------------------------------------
     cache_dir: "str | None" = None    # None = L1 only (PR-8 behavior)
     cache_l2_bytes: int = 64 << 20
-    # -- replica tier (set by the repro.serve.replicas supervisor) -------
-    workers: int = 1
-    replica_index: int = 0
-    tier_dir: "str | None" = None
-    inherit_socket_fd: "int | None" = None  # pre-bound listener (no REUSEPORT)
-    reuseport: bool = False           # bind our own SO_REUSEPORT listener
 
     def __post_init__(self) -> None:
+        """Reject out-of-range knobs here, before any socket or task
+        exists, so a bad command line is one error line, not a
+        traceback from inside the event loop."""
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {self.port}")
+        for name, low in (("max_queue", 1), ("batch_max", 1),
+                          ("cache_entries", 1),
+                          ("keepalive_max_requests", 1),
+                          ("cache_l2_bytes", 1),
+                          ("stream_threshold_bytes", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, "
+                                 f"got {getattr(self, name)}")
+        for name in ("default_deadline_s", "max_deadline_s",
+                     "keepalive_idle_s"):
+            value = getattr(self, name)
+            if not value > 0:        # also rejects NaN
+                raise ValueError(f"{name} must be > 0 seconds, "
+                                 f"got {value}")
         if self.default_deadline_s > self.max_deadline_s:
             raise ValueError("default_deadline_s exceeds max_deadline_s")
-        if self.keepalive_max_requests < 1:
-            raise ValueError("keepalive_max_requests must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -147,7 +146,7 @@ _ERROR_STATUS = {"deadline-exceeded": 504, "queue-full": 429,
 
 
 class AssessmentServer:
-    """One daemon instance: HTTP front, admission, batcher, janitor."""
+    """One daemon instance: HTTP front, admission, batcher."""
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
@@ -182,32 +181,11 @@ class AssessmentServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        cfg = self.config
-        if cfg.inherit_socket_fd is not None:
-            # Fallback accept-sharing: the supervisor bound + listened
-            # once and every replica accepts from the inherited fd.
-            sock = socket.socket(fileno=cfg.inherit_socket_fd)
-            sock.setblocking(False)
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=sock)
-        elif cfg.reuseport:
-            # Kernel load-balancing: each replica binds its own
-            # SO_REUSEPORT listener on the (already resolved) port.
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((cfg.host, cfg.port))
-            sock.listen(128)
-            sock.setblocking(False)
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=sock)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, cfg.host, cfg.port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.config.host, self.config.port)
         self._tasks = [
             asyncio.create_task(self.batcher.run(), name="repro-batcher"),
-            asyncio.create_task(self._janitor(), name="repro-janitor"),
         ]
-        self._publish_replica_status()
 
     async def stop(self) -> None:
         """Immediate teardown (tests); :meth:`drain` is the polite exit."""
@@ -232,7 +210,6 @@ class AssessmentServer:
             return
         self.draining = True
         obs.inc("serve.drains")
-        self._publish_replica_status()
         while self.admission.depth or self.batcher.in_flight:
             await asyncio.sleep(0.01)
         with obs.span("serve.drain", batches=self.batcher.batch_no):
@@ -250,24 +227,6 @@ class AssessmentServer:
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
         await self._drained.wait()
-
-    async def _janitor(self) -> None:
-        """Periodic housekeeping: refresh this replica's tier status, so
-        a breaker flip eventually reaches the aggregate view even
-        without a lifecycle event."""
-        while True:
-            await asyncio.sleep(self.config.janitor_interval_s)
-            obs.inc("serve.janitor_runs")
-            self._publish_replica_status()
-
-    def _publish_replica_status(self) -> None:
-        """Atomically publish this replica's readiness (tier mode only)."""
-        if self.config.tier_dir is None or self._server is None:
-            return
-        write_replica_status(
-            self.config.tier_dir, self.config.replica_index,
-            pid=os.getpid(), port=self.port,
-            ready=not self.draining and self.breaker.state != "open")
 
     # -- HTTP front ----------------------------------------------------------
 
@@ -465,15 +424,6 @@ class AssessmentServer:
         report["serve"] = self._healthz()
         report["serve"]["admission"] = self.admission.stats()
         report["ready"] = ready
-        if self.config.tier_dir is not None:
-            # Any replica answers for the whole tier: the aggregate is
-            # read from the shared status directory, so a prober can
-            # hit whichever replica the kernel picks.
-            tier = read_tier_status(self.config.tier_dir)
-            tier["workers"] = (tier.get("supervisor") or {}).get(
-                "workers", self.config.workers)
-            tier["replica_index"] = self.config.replica_index
-            report["replica_tier"] = tier
         return report
 
     async def _assessment(self, kind: str, raw: bytes,
@@ -588,14 +538,8 @@ def _render_response(status: int, headers: dict[str, str],
 async def _serve_async(config: ServeConfig) -> int:
     server = AssessmentServer(config)
     await server.start()
-    if config.tier_dir is None:
-        print(f"repro serve: listening on http://{config.host}:{server.port}",
-              flush=True)
-    else:
-        # Replica mode: the supervisor owns the listening line (one per
-        # tier); replicas announce themselves for the supervisor's log.
-        print(f"repro serve: replica {config.replica_index} ready "
-              f"on port {server.port}", flush=True)
+    print(f"repro serve: listening on http://{config.host}:{server.port}",
+          flush=True)
     await server.serve_forever()
     print("repro serve: drained, exiting", flush=True)
     return 0

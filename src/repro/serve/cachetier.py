@@ -1,23 +1,23 @@
-"""The shared two-level result cache: per-replica L1 over a disk L2.
+"""The two-level result cache: per-process L1 over a disk L2.
 
 PR 8's :class:`~repro.serve.cache.ResultCache` amortizes repeated
-questions within one daemon process.  The replica tier needs more: N
-replicas (and the *next* daemon, after a restart or a crash) must
-share warm answers, because the canonical-key + bit-identity contracts
-make the cached payload a pure function of the question — whichever
-process computed it.
+questions within one daemon process.  The *next* daemon, after a
+restart or a crash, and any other daemon pointed at the same
+directory, can share those warm answers too, because the canonical-key
++ bit-identity contracts make the cached payload a pure function of
+the question — whichever process computed it.
 
 So the cache becomes two levels:
 
 * **L1** — the existing in-process LRU, unchanged semantics, one per
-  replica.  Hits cost a dict lookup.
-* **L2** — :class:`DiskCacheL2`, a directory shared by every replica
-  (and by restarts): one file per canonical digest, written
+  process.  Hits cost a dict lookup.
+* **L2** — :class:`DiskCacheL2`, a directory shared across restarts
+  (and by any daemon given the same ``--cache-dir``): one file per canonical digest, written
   atomically (temp file in the same directory, then ``os.replace``),
   each carrying its own SHA-256 so a torn, truncated, or poisoned
   file is detected on read, unlinked, counted
   (``serve.cache_l2_poisoned``), and recomputed — never served.  An
-  L2 hit is promoted into L1, so a replica pays the disk read once
+  L2 hit is promoted into L1, so a process pays the disk read once
   per entry per process lifetime.
 
 Crash-safety by construction, not coordination: there are no locks
@@ -233,7 +233,7 @@ class TieredResultCache:
     def get_with_tier(self, key: str) -> "tuple[str | None, str | None]":
         """``(payload, tier)`` — tier is ``"l1"``, ``"l2"`` or None.
 
-        An L2 hit is promoted into L1 so this replica serves the next
+        An L2 hit is promoted into L1 so this process serves the next
         repeat from memory; the promotion stores the exact payload
         bytes the disk file carried, so promotion can never change a
         response.

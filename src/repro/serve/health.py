@@ -12,8 +12,8 @@ or removed without a ``schema_version`` bump (asserted by
 ``tests/serve/test_health.py``).  Top-level keys::
 
     schema_version  int   — bumped only on breaking changes (currently 2;
-                    version 1 also carried ``pool``, ``shm``, ``ladder``
-                    and ``janitor``, which went with the process fan-out)
+                    version 1 also carried the process fan-out's
+                    sections, which went with it)
     version         str   — the repro package version
     faults          {active_rules}
     cache_tier      {l2_dir, l2_entries, l2_bytes, l2_max_bytes,
@@ -26,7 +26,7 @@ few seconds.
 The ``cache_tier`` section describes the shared L2 result cache
 (``docs/serving.md``): the daemon reports its configured directory;
 the CLI resolves ``--cache-dir`` or ``REPRO_SERVE_CACHE_DIR`` so an
-operator inspecting a host sees the same facts a replica reports.
+operator inspecting a host sees the same facts the daemon reports.
 
 This module also renders the counter registry in Prometheus text
 exposition format (:func:`render_prometheus`) for the ``/metrics``

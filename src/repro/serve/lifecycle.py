@@ -23,19 +23,13 @@ on what substrate":
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import time
-from pathlib import Path
-from typing import Any
 
 from repro import obs
 from repro.errors import BreakerOpenError
 
 __all__ = ["CircuitBreaker", "WarmState",
-           "BREAKER_CLOSED", "BREAKER_DEGRADED", "BREAKER_OPEN",
-           "write_replica_status", "write_supervisor_status",
-           "read_tier_status"]
+           "BREAKER_CLOSED", "BREAKER_DEGRADED", "BREAKER_OPEN"]
 
 BREAKER_CLOSED = "closed"
 BREAKER_DEGRADED = "degraded"
@@ -169,101 +163,3 @@ class WarmState:
         else:
             self._fleets.pop(key, None)
         obs.inc("serve.warm_invalidations")
-
-
-# ---------------------------------------------------------------------------
-# Replica-tier status files
-# ---------------------------------------------------------------------------
-#
-# The tier's shared ground truth is a directory of tiny JSON files —
-# one per replica plus one for the supervisor — written atomically
-# (write-then-rename, like every other crash-adjacent file in the
-# repo) so a reader sees a complete old status, a complete new one,
-# or nothing.  Any replica's ``/readyz`` aggregates them; the
-# supervisor polls them to report tier readiness; a crashed writer
-# leaves at worst a stale file whose ``alive`` probe exposes it.
-
-def _write_status(path: Path, payload: dict[str, Any]) -> None:
-    tmp = path.with_name(f".tmp-{path.name}.{os.getpid()}")
-    try:
-        tmp.write_text(json.dumps(payload, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError:
-        # Status files are observability, never control flow: an
-        # unwritable tier dir degrades the aggregate view, not the
-        # service.
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-
-
-def write_replica_status(tier_dir: "str | os.PathLike", index: int, *,
-                         pid: int, port: int, ready: bool) -> None:
-    """Publish one replica's readiness into the tier status dir."""
-    _write_status(Path(tier_dir) / f"replica-{index}.json",
-                  {"index": index, "pid": pid, "port": port,
-                   "ready": bool(ready)})
-
-
-def write_supervisor_status(tier_dir: "str | os.PathLike", *, pid: int,
-                            workers: int, respawns: dict[int, int],
-                            reuseport: bool) -> None:
-    """Publish the supervisor's view (respawn counts live here: the
-    supervisor is the only process that witnesses a replica die)."""
-    _write_status(Path(tier_dir) / "supervisor.json",
-                  {"pid": pid, "workers": workers,
-                   "respawns": {str(i): int(n)
-                                for i, n in sorted(respawns.items())},
-                   "reuseport": bool(reuseport)})
-
-
-def _alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        pass
-    return True
-
-
-def read_tier_status(tier_dir: "str | os.PathLike") -> dict[str, Any]:
-    """The aggregated tier view: every replica's status + supervisor.
-
-    Unreadable or half-present files are simply skipped — the
-    aggregate is a best-effort observation of a directory that other
-    processes are writing concurrently.
-    """
-    root = Path(tier_dir)
-    replicas: list[dict[str, Any]] = []
-    supervisor: "dict[str, Any] | None" = None
-    try:
-        names = sorted(os.listdir(root))
-    except OSError:
-        names = []
-    for name in names:
-        if not name.endswith(".json") or name.startswith(_TMP_STATUS):
-            continue
-        try:
-            payload = json.loads((root / name).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        if name == "supervisor.json":
-            supervisor = payload
-        elif name.startswith("replica-"):
-            payload["alive"] = _alive(int(payload.get("pid", -1)))
-            replicas.append(payload)
-    replicas.sort(key=lambda status: status.get("index", -1))
-    return {
-        "replicas": replicas,
-        "supervisor": supervisor,
-        "n_ready": sum(1 for status in replicas
-                       if status.get("ready") and status["alive"]),
-    }
-
-
-_TMP_STATUS = ".tmp-"

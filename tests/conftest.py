@@ -9,6 +9,10 @@ The watchdog makes the suite terminate on any host.  A session-wide
 as a whole wedges; when ``pytest-timeout`` is not installed (its
 ``@pytest.mark.timeout`` would otherwise be an unknown, inert mark), a
 SIGALRM wall limit per test phase fails the test that hangs instead.
+
+The leak check fails any serve, parallel or CLI test that leaves a live
+child process (read from ``/proc``; the leaked process is killed) or a
+``.tmp-*`` file under its ``tmp_path`` behind.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import os
 import signal
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +33,7 @@ from repro.data.top500 import Top500Dataset, generate_top500
 from repro.hardware.memory import MemoryType
 from repro.study import StudyResult, Top500CarbonStudy
 
+pytest_plugins = ("pytester",)
 
 #: Whole-session limit: far above a healthy tier-1 run (about a minute).
 SESSION_LIMIT_S = 1800
@@ -100,6 +107,76 @@ def pytest_runtest_call(item):
 def pytest_runtest_teardown(item):
     with _wall_limit(item):
         yield
+
+
+#: Test paths, relative to this directory, that start processes or
+#: write files through temp-then-rename, and so get the leak check.
+LEAK_CHECKED = ("serve/", "parallel/", "test_fleets_and_cli.py",
+                "obs/test_profile_cli.py")
+#: How long a just-signalled child may take to exit before it counts.
+LEAK_GRACE_S = 1.0
+
+
+def _live_children() -> set[int]:
+    """PIDs of this process's children that are not zombies.
+
+    Every thread's ``children`` list is read, because a child belongs
+    to the thread that started it.  Empty where ``/proc`` lacks them.
+    """
+    pids: set[int] = set()
+    task_dir = Path(f"/proc/{os.getpid()}/task")
+    try:
+        tasks = list(task_dir.iterdir())
+    except OSError:
+        return pids
+    for task in tasks:
+        try:
+            pids.update(int(pid) for pid in
+                        (task / "children").read_text().split())
+        except OSError:
+            continue                 # the thread has exited
+    live = set()
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            continue                 # already reaped
+        if stat.rsplit(")", 1)[1].split()[0] != "Z":
+            live.add(pid)
+    return live
+
+
+def _kill_and_reap(pid: int) -> None:
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass
+
+
+@pytest.fixture(autouse=True)
+def _leak_check(request):
+    """Fail the test if it leaves a child process or a ``.tmp-`` file."""
+    relative = request.path.relative_to(Path(__file__).parent).as_posix()
+    if not relative.startswith(LEAK_CHECKED):
+        yield
+        return
+    tmp_path = (request.getfixturevalue("tmp_path")
+                if "tmp_path" in request.fixturenames else None)
+    before = _live_children()
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while (leaked := _live_children() - before) \
+            and time.monotonic() < deadline:
+        time.sleep(0.02)
+    for pid in leaked:
+        _kill_and_reap(pid)
+    problems = [f"leaked child process {pid}" for pid in sorted(leaked)]
+    if tmp_path is not None:
+        problems += [f"leaked temp file {path.relative_to(tmp_path)}"
+                     for path in sorted(tmp_path.rglob(".tmp-*"))]
+    if problems:
+        pytest.fail("; ".join(problems), pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 The daemon's recovery paths are driven end-to-end here: a stalled
 request (``hang@request``), a failing cache lookup
-(``raise@cache-load``), and a replica tier under a fault spec — each
-required to answer **bit-identical** to the lone serial evaluation.
+(``raise@cache-load``), and a real daemon process under a fault spec —
+each required to answer **bit-identical** to the lone serial
+evaluation.
 The Monte-Carlo band fan-out runs on threads and has no fault point;
 the ambient tests re-check its bit-identity under whatever spec the
 process was started with.
@@ -284,32 +285,28 @@ class TestChaosServe:
 
         _run_serve_scenario(scenario)
 
-    def test_replica_tier_chaos_drains_without_leaks(self, tmp_path):
-        """One fault spec against a real ``--workers 2`` tier: every
-        response still matches the serial reference byte for byte, the
-        tier drains to exit 0, and no half-written L2 temp file is
-        left behind."""
+    def test_daemon_chaos_drains_without_leaks(self, tmp_path):
+        """One fault spec against a real daemon process with a disk L2:
+        every response still matches the serial reference byte for
+        byte, SIGTERM drains it to exit 0, and no half-written L2 temp
+        file is left behind."""
         import signal
-        import socket
         import subprocess
         import sys
         import urllib.request
         from pathlib import Path
-
-        if not hasattr(socket, "SO_REUSEPORT"):
-            pytest.skip("replica tier assumes SO_REUSEPORT")
 
         reference = _serve_reference("sweep", self._SWEEP)
         repo_root = Path(__file__).resolve().parents[2]
         cache_dir = tmp_path / "l2"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(repo_root / "src")
-        # Every replica's cache lookups raise; each is treated as a
-        # miss and recomputed inside the request's own deadline.
+        # Every cache lookup raises; each is treated as a miss and
+        # recomputed inside the request's own deadline.
         env[faults.FAULT_SPEC_ENV] = "raise@cache-load"
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", "2", "--cache-dir", str(cache_dir)],
+             "--cache-dir", str(cache_dir)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, cwd=repo_root, env=env)
         try:
@@ -322,13 +319,11 @@ class TestChaosServe:
                     with urllib.request.urlopen(
                             f"http://127.0.0.1:{port}/readyz",
                             timeout=10) as response:
-                        tier = json.loads(response.read()).get(
-                            "replica_tier") or {}
-                        if tier.get("n_ready", 0) >= 2:
+                        if json.loads(response.read())["ready"]:
                             break
                 except OSError:
                     pass
-                assert time.monotonic() < deadline, "tier never ready"
+                assert time.monotonic() < deadline, "daemon never ready"
                 time.sleep(0.1)
 
             request = urllib.request.Request(

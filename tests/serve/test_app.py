@@ -528,22 +528,6 @@ class TestFanOutRouting:
         run_server(scenario)
 
 
-class TestJanitorTask:
-    def test_periodic_janitor_republishes_status(self, monkeypatch):
-        config = ServeConfig(port=0, janitor_interval_s=0.05)
-
-        async def scenario(server, get, post):
-            published = []
-            monkeypatch.setattr(server, "_publish_replica_status",
-                                lambda: published.append(1))
-            runs_before = obs.get_counter("serve.janitor_runs")
-            await asyncio.sleep(0.2)
-            assert published, "janitor never republished the status"
-            assert obs.get_counter("serve.janitor_runs") > runs_before
-
-        run_server(scenario, config)
-
-
 class TestDrain:
     def test_drain_refuses_new_work_and_finishes(self):
         async def scenario(server, get, post):

@@ -3,8 +3,8 @@
 This mirrors the CI serve-smoke job: start ``python -m repro serve``
 as a subprocess, wait for readiness, run one assess and one
 64-scenario sweep (cache hit on repeat), then SIGTERM it and require a
-clean drain — exit code 0, with the drain line on stdout.  The tier
-variant does the same through ``--workers 2`` with a keep-alive
+clean drain — exit code 0, with the drain line on stdout.  The
+keep-alive variant drives the daemon with a persistent-connection
 client, asserting connection reuse never changes a byte.
 """
 
@@ -14,7 +14,6 @@ import http.client
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -88,15 +87,14 @@ def test_serve_smoke_sigterm_drains_to_exit_zero():
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.skipif(not hasattr(socket, "SO_REUSEPORT"),
-                    reason="replica tier assumes SO_REUSEPORT")
-def test_serve_smoke_replica_tier_with_keepalive_client():
+def test_serve_smoke_keepalive_client_then_clean_drain(tmp_path):
+    cache_dir = tmp_path / "l2"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_FAULT_SPEC", None)
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2"],
+         "--cache-dir", str(cache_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, cwd=REPO_ROOT, env=env)
     try:
@@ -108,12 +106,11 @@ def test_serve_smoke_replica_tier_with_keepalive_client():
         while True:
             try:
                 status, _, body = _request(port, "/readyz")
-                tier = json.loads(body).get("replica_tier") or {}
-                if status == 200 and tier.get("n_ready", 0) >= 2:
+                if status == 200 and json.loads(body)["ready"]:
                     break
             except (urllib.error.URLError, ConnectionError):
                 pass
-            assert time.monotonic() < deadline, "tier never became ready"
+            assert time.monotonic() < deadline, "daemon never became ready"
             time.sleep(0.1)
 
         # Fresh-connection references (urllib sends Connection: close).
@@ -122,8 +119,7 @@ def test_serve_smoke_replica_tier_with_keepalive_client():
         assert status == 200
 
         # Keep-alive client: several requests over ONE connection must
-        # be byte-identical to the fresh-connection response, whichever
-        # replica the kernel routed the connection to.
+        # be byte-identical to the fresh-connection response.
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
         try:
             for _ in range(4):
@@ -140,8 +136,11 @@ def test_serve_smoke_replica_tier_with_keepalive_client():
         process.send_signal(signal.SIGTERM)
         exit_code = process.wait(timeout=30)
         assert exit_code == 0
-        assert "tier drained, exiting" in process.stdout.read()
+        assert "drained, exiting" in process.stdout.read()
     finally:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+    # The drain leaves no half-written L2 temp file.
+    assert [name for name in os.listdir(cache_dir)
+            if name.startswith(".tmp-")] == []

@@ -338,3 +338,40 @@ class TestShiftCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "greenest-4" in out
+
+
+class TestServeCli:
+    @pytest.mark.parametrize("flags", [
+        ["--port", "70000"],
+        ["--port", "-1"],
+        ["--batch-max", "0"],
+        ["--queue-depth", "0"],
+        ["--cache-entries", "-1"],
+        ["--keepalive-max-requests", "0"],
+        ["--keepalive-idle-s", "-1"],
+        ["--default-deadline-s", "-1"],
+        ["--max-deadline-s", "0"],
+        ["--cache-l2-bytes", "0"],
+        ["--stream-threshold-bytes", "-1"],
+    ])
+    def test_bad_argument_is_one_line_and_exit_2(self, capsys, monkeypatch,
+                                                 flags):
+        def refuse_to_start(config):
+            raise AssertionError(f"daemon started with {config}")
+
+        monkeypatch.setattr("repro.serve.serve", refuse_to_start)
+        assert main(["serve", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro serve: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "2"], ["--janitor-interval-s", "1"],
+        ["--replica-index", "1"], ["--tier-dir", "d"],
+        ["--inherit-socket", "3"], ["--reuseport"]])
+    def test_replica_tier_flags_are_gone(self, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
