@@ -692,7 +692,9 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the warm assessment daemon until SIGTERM.
 
-    An out-of-range option is one stderr line and exit 2.
+    An out-of-range option, or a ``--cache-dir`` that cannot be a
+    directory (a regular file, a path beneath one, no permission), is
+    one stderr line and exit 2.
     """
     from repro.serve import ServeConfig, serve
 
@@ -711,6 +713,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
+    if config.cache_dir is not None:
+        try:
+            os.makedirs(config.cache_dir, exist_ok=True)
+        except OSError as exc:
+            reason = ("a file is in the way"
+                      if isinstance(exc, FileExistsError)
+                      else exc.strerror or str(exc))
+            print(f"repro serve: --cache-dir {config.cache_dir!r} is not "
+                  f"a usable directory: {reason}", file=sys.stderr)
+            return 2
     return serve(config)
 
 

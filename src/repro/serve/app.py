@@ -36,6 +36,11 @@ byte-for-byte cacheable; cache status travels in the
 from the shared disk tier, ``miss``) so a cached body stays identical
 to the computed one.
 
+A POST runs fault point → admission → raw-body memo → parse → fleet
+identity → cache (``docs/serving.md``, "The request path"): a repeated
+inline-fleet body is answered from its memoized cache key without
+being decoded, validated or digested again.
+
 The result cache is two-level when ``--cache-dir`` is configured
 (:mod:`repro.serve.cachetier`): the in-process LRU stays L1, and a
 checksummed file-per-digest directory becomes L2 — surviving daemon
@@ -50,8 +55,11 @@ and the process exits 0.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import hashlib
 import json
 import signal
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -62,13 +70,14 @@ from repro.serve.admission import AdmissionQueue
 from repro.serve.batcher import (
     BatchEntry,
     Batcher,
+    ParsedRequest,
     RequestError,
     cache_key,
     fleet_content_hash,
     fleet_records,
     parse_request,
 )
-from repro.serve.cache import ResultCache, canonical_digest
+from repro.serve.cache import ResultCache
 from repro.serve.cachetier import DiskCacheL2, TieredResultCache
 from repro.serve.health import (
     PROMETHEUS_CONTENT_TYPE,
@@ -83,6 +92,11 @@ _MAX_BODY_BYTES = 1 << 20  # inline fleets are records, not datasets
 
 #: Chunk size for streamed (Transfer-Encoding: chunked) bodies.
 _STREAM_CHUNK_BYTES = 64 << 10
+
+#: Inline-fleet bodies remembered by the raw-body memo (LRU).  An
+#: entry is a few hundred bytes: the parsed request without its
+#: systems, plus the cache key.
+_BODY_MEMO_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -167,7 +181,13 @@ class AssessmentServer:
                                self.cache)
         self.draining = False
         self._request_no = 0
+        #: builtin fleet name -> content hash (one entry per name).
         self._fleet_hashes: dict[str, str] = {}
+        #: (kind, sha256 of the raw body) -> (parsed request with
+        #: systems=None, cache key), for inline-fleet bodies only.
+        self._body_memo: \
+            "OrderedDict[tuple[str, bytes], tuple[ParsedRequest, str]]" = \
+            OrderedDict()
         self._server: "asyncio.base_events.Server | None" = None
         self._tasks: list[asyncio.Task] = []
         self._drained = asyncio.Event()
@@ -450,31 +470,34 @@ class AssessmentServer:
                 return 500, {}, _error_body("injected-fault", str(exc)), False
 
         try:
-            body = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, {}, _error_body("bad-request",
-                                        f"invalid JSON body: {exc}"), False
-        try:
-            parsed = parse_request(
-                kind, body,
-                default_deadline_s=self.config.default_deadline_s,
-                max_deadline_s=self.config.max_deadline_s)
             self.breaker.check_admission(self.draining)
-            fleet_key = parsed.fleet_name or \
-                "inline:" + canonical_digest(list(parsed.systems or ()))
-            records = await self.warm.records_for(
-                fleet_key, lambda: fleet_records(parsed))
-            fleet_hash = self._fleet_hashes.get(fleet_key)
-            if fleet_hash is None:
-                fleet_hash = fleet_content_hash(records)
-                self._fleet_hashes[fleet_key] = fleet_hash
-            key = cache_key(parsed, fleet_hash)
+            # The memo: a repeated inline body skips JSON decoding,
+            # validation, digests and record construction, and goes
+            # straight to the cache with its memoized key.
+            memo_key = (kind, hashlib.sha256(raw).digest())
+            memo = self._body_memo.get(memo_key)
+            if memo is not None:
+                self._body_memo.move_to_end(memo_key)
+                obs.inc("serve.body_memo_hits")
+                parsed, key = memo
+            else:
+                parsed, key = self._parse(kind, raw)
+                if parsed.systems is not None:
+                    obs.inc("serve.body_memo_misses")
             cached, tier = self._cache_lookup(key)
             if cached is not None:
+                self._remember(memo_key, parsed, key)
                 return 200, {"X-Repro-Cache":
                              "hit" if tier == "l1" else "hit-l2"}, \
                     cached.encode("utf-8"), False
-            entry = BatchEntry(parsed, records, fleet_key, fleet_hash, key)
+            if memo is not None and self.warm.peek(parsed.fleet_key) is None:
+                # The memo holds no systems: rebuild the evicted
+                # records from the raw body, which is still in hand.
+                parsed, key = self._parse(kind, raw)
+            records = await self.warm.records_for(
+                parsed.fleet_key, lambda: fleet_records(parsed))
+            self._remember(memo_key, parsed, key)
+            entry = BatchEntry(parsed, records, key)
             self.admission.offer(entry)
             payload = await entry.future
             return 200, {"X-Repro-Cache": "miss"}, \
@@ -492,6 +515,46 @@ class AssessmentServer:
             obs.inc("serve.internal_errors")
             return 500, {}, _error_body(
                 "internal", f"{type(exc).__name__}: {exc}"), False
+
+    def _parse(self, kind: str, raw: bytes) -> tuple[ParsedRequest, str]:
+        """Decode, validate and key one request body (RequestError on
+        anything malformed)."""
+        try:
+            body = json.loads(raw.decode("utf-8")) if raw else {}
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise RequestError(f"invalid JSON body: {exc}") from None
+        parsed = parse_request(
+            kind, body,
+            default_deadline_s=self.config.default_deadline_s,
+            max_deadline_s=self.config.max_deadline_s)
+        return parsed, cache_key(parsed, self._fleet_identity(parsed))
+
+    def _fleet_identity(self, parsed: ParsedRequest) -> str:
+        """The fleet part of the cache key: an inline fleet's key, or a
+        builtin fleet's content hash (computed once per name)."""
+        if parsed.fleet_name is None:
+            return parsed.fleet_key
+        fleet_hash = self._fleet_hashes.get(parsed.fleet_name)
+        if fleet_hash is None:
+            fleet_hash = fleet_content_hash(fleet_records(parsed))
+            self._fleet_hashes[parsed.fleet_name] = fleet_hash
+        return fleet_hash
+
+    def _remember(self, memo_key: tuple[str, bytes], parsed: ParsedRequest,
+                  key: str) -> None:
+        """Memoize an inline body that parsed and resolved, minus its
+        systems.
+
+        A request without systems is skipped: a builtin-fleet body
+        parses in microseconds, and a memo entry is memoized already.
+        """
+        if parsed.systems is None:
+            return
+        self._body_memo[memo_key] = (
+            dataclasses.replace(parsed, systems=None), key)
+        self._body_memo.move_to_end(memo_key)
+        while len(self._body_memo) > _BODY_MEMO_MAX:
+            self._body_memo.popitem(last=False)
 
     def _cache_lookup(self, key: str) -> "tuple[str | None, str | None]":
         try:

@@ -84,11 +84,18 @@ class ParsedRequest:
     Canonical means: axes in fixed order with float-normalized values,
     defaults resolved — two bodies asking the same question parse to
     equal objects and digest to the same cache key.
+
+    ``fleet_key`` names the fleet: the builtin name, or ``"inline:"``
+    plus the digest of the canonical inline systems.  It keys the
+    daemon's warm records and is an inline fleet's identity in
+    :func:`cache_key` (the canonical items fully determine the
+    records, so no second digest of the records is needed).
     """
 
     kind: str
     fleet_name: "str | None"            # builtin fleet, or None = inline
     systems: "tuple[tuple, ...] | None"  # canonical inline record items
+    fleet_key: str
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     mode: str
     footprint: str
@@ -135,8 +142,10 @@ def parse_request(kind: str, body: Any, *,
             raise RequestError(
                 f"unknown fleet {fleet_name!r} "
                 f"(have {sorted(BUILTIN_FLEETS)})")
+        fleet_key = fleet_name
     else:
-        canonical_systems = _canonical_systems(systems)
+        canonical_systems, digest = _canonical_systems(systems)
+        fleet_key = "inline:" + digest
 
     axes_body = body.get("axes")
     grid = body.get("grid")
@@ -199,12 +208,18 @@ def parse_request(kind: str, body: Any, *,
 
     return ParsedRequest(
         kind=kind, fleet_name=fleet_name, systems=canonical_systems,
-        axes=axes, mode=mode, footprint=footprint,
+        fleet_key=fleet_key, axes=axes, mode=mode, footprint=footprint,
         n_samples=n_samples, seed=seed, deadline_s=deadline_s)
 
 
-def _canonical_systems(systems: Any) -> tuple[tuple, ...]:
-    """Inline systems → canonical ``((field, value), ...)`` items."""
+def _canonical_systems(systems: Any) -> tuple[tuple[tuple, ...], str]:
+    """Inline systems → canonical ``((field, value), ...)`` items and
+    their digest.
+
+    The digest is taken over the validated objects themselves
+    (:func:`canonical_digest` sorts their keys), so it names exactly
+    the canonical items without serializing the item tuples again.
+    """
     from repro.core.record import SystemRecord
 
     if not isinstance(systems, list) or not systems:
@@ -219,7 +234,12 @@ def _canonical_systems(systems: Any) -> tuple[tuple, ...]:
             raise RequestError(
                 f"systems[{i}] has unknown field(s): {', '.join(stray)}")
         out.append(tuple(sorted(item.items())))
-    return tuple(out)
+    try:
+        digest = canonical_digest(systems)
+    except TypeError as exc:
+        raise RequestError(f"'systems' must be plain JSON data: {exc}") \
+            from None
+    return tuple(out), digest
 
 
 def fleet_records(parsed: ParsedRequest) -> tuple:
@@ -233,11 +253,14 @@ def fleet_records(parsed: ParsedRequest) -> tuple:
     if parsed.fleet_name is not None:
         from repro.fleets import BUILTIN_FLEETS
         return BUILTIN_FLEETS[parsed.fleet_name].systems
+    if parsed.systems is None:
+        raise ValueError("an inline request without its systems "
+                         "(a memoized request) names no records")
     from repro.core.record import SystemRecord
     from repro.hardware.memory import MemoryType
 
     records = []
-    for i, item in enumerate(parsed.systems or ()):
+    for i, item in enumerate(parsed.systems):
         kwargs = dict(item)
         if isinstance(kwargs.get("memory_type"), str):
             try:
@@ -271,6 +294,8 @@ def fleet_content_hash(records) -> str:
     Two fleets with equal field values hash equal whatever objects
     carry them; a mutated fleet hashes different.  This is the cache
     key's defense against serving one fleet's numbers for another.
+    The daemon hashes each builtin fleet once; an inline fleet's
+    identity is its :attr:`ParsedRequest.fleet_key` instead.
     """
     items = [[(f.name, _canonical_field_value(getattr(record, f.name)))
               for f in dataclasses.fields(record)]
@@ -279,7 +304,11 @@ def fleet_content_hash(records) -> str:
 
 
 def cache_key(parsed: ParsedRequest, fleet_hash: str) -> str:
-    """The response-cache key: content hash × canonical lowering × seed."""
+    """The response-cache key: fleet identity × canonical lowering × seed.
+
+    ``fleet_hash`` is a builtin fleet's :func:`fleet_content_hash` or
+    an inline fleet's ``fleet_key``.
+    """
     return canonical_digest({
         "kind": parsed.kind,
         "fleet": fleet_hash,
@@ -322,12 +351,10 @@ def build_specs(parsed: ParsedRequest) -> tuple:
 class BatchEntry:
     """One admitted request waiting for (or riding in) a batch."""
 
-    def __init__(self, parsed: ParsedRequest, records: tuple,
-                 fleet_key: str, fleet_hash: str, key: str):
+    def __init__(self, parsed: ParsedRequest, records: tuple, key: str):
         self.parsed = parsed
         self.records = records
-        self.fleet_key = fleet_key
-        self.fleet_hash = fleet_hash
+        self.fleet_key = parsed.fleet_key
         self.cache_key = key
         self.deadline = time.monotonic() + parsed.deadline_s
         self.future: asyncio.Future = \
@@ -495,7 +522,7 @@ class Batcher:
 
         groups: dict[str, list[BatchEntry]] = {}
         for entry in live:
-            groups.setdefault(entry.fleet_hash, []).append(entry)
+            groups.setdefault(entry.fleet_key, []).append(entry)
         if len(groups) > 1:
             obs.inc("serve.batch_fleet_groups", len(groups) - 1)
         for entries in groups.values():

@@ -15,15 +15,17 @@ on what substrate":
 * :class:`WarmState` — the fleet records (and through them the
   identity-keyed :func:`~repro.core.vectorized.fleet_frame` cache)
   kept alive between requests, with **single-flight** rebuild: after a
-  batch failure invalidates it, exactly one rebuilder runs per
-  fleet while concurrent requests await its result, so a crash never
-  triggers a thundering herd of frame extractions.
+  batch failure invalidates it, exactly one rebuild runs per fleet
+  and every concurrent request shares its result, so a crash never
+  triggers a thundering herd of frame extractions.  It is an LRU at
+  the frame cache's size: records past it would have lost their
+  frames anyway, and unique inline fleets must not grow it forever.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
+from collections import OrderedDict
 
 from repro import obs
 from repro.errors import BreakerOpenError
@@ -116,12 +118,13 @@ class WarmState:
     Holding the *same* records tuple across requests is what keeps the
     identity-keyed frame cache warm — two requests for ``"doe-like"``
     must resolve to the same record objects or every request pays a
-    fresh frame extraction.
+    fresh frame extraction.  At most ``_FRAME_CACHE_MAX`` fleets stay
+    warm; the least recently used one is dropped first
+    (``serve.warm_evictions``).
     """
 
     def __init__(self):
-        self._fleets: dict[str, tuple] = {}
-        self._locks: dict[str, asyncio.Lock] = {}
+        self._fleets: "OrderedDict[str, tuple]" = OrderedDict()
 
     def peek(self, key: str):
         """The warm records for ``key``, or None (no build)."""
@@ -131,25 +134,29 @@ class WarmState:
         """The warm records for ``key``, building at most once.
 
         ``build`` is a zero-arg callable returning the records tuple
-        (cheap — record construction, not frame extraction).  Callers
-        racing on a cold key all await one build (single-flight); the
-        winner's tuple is what everyone — including future requests —
-        shares.
+        (cheap — record construction, not frame extraction).  It runs
+        on the event loop with no await around it, so callers racing
+        on a cold key cannot interleave with it: the first builds, the
+        rest find its tuple (single-flight without a lock), and that
+        tuple is what every future request shares.
         """
         records = self._fleets.get(key)
         if records is not None:
+            self._fleets.move_to_end(key)
             obs.inc("serve.warm_hits")
             return records
-        lock = self._locks.setdefault(key, asyncio.Lock())
-        async with lock:
-            records = self._fleets.get(key)
-            if records is not None:
-                obs.inc("serve.warm_hits")
-                return records
-            obs.inc("serve.warm_rebuilds")
-            records = tuple(build())
-            self._fleets[key] = records
-            return records
+        # Imported here, not at the top: the kernel module costs tens of
+        # milliseconds of daemon start-up, and a cold build is followed
+        # by a sweep that loads it anyway.
+        from repro.core.vectorized import _FRAME_CACHE_MAX
+
+        obs.inc("serve.warm_rebuilds")
+        records = tuple(build())
+        self._fleets[key] = records
+        while len(self._fleets) > _FRAME_CACHE_MAX:
+            self._fleets.popitem(last=False)
+            obs.inc("serve.warm_evictions")
+        return records
 
     def invalidate(self, key: "str | None" = None) -> None:
         """Drop warm records (one fleet, or everything).

@@ -38,9 +38,12 @@ def _get(port, path):
 
 
 def _post(port, path, body):
+    return _post_raw(port, path, json.dumps(body).encode("utf-8"))
+
+
+def _post_raw(port, path, data: bytes):
     request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        data=json.dumps(body).encode("utf-8"), method="POST",
+        f"http://127.0.0.1:{port}{path}", data=data, method="POST",
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
@@ -545,5 +548,189 @@ class TestDrain:
             error = json.loads(body)["error"]
             assert error["code"] == "breaker-open"
             assert "draining" in error["message"]
+
+        run_server(scenario)
+
+
+def _inline_body(n: int = 2, *, tag: int = 0) -> dict:
+    """A small inline fleet; ``tag`` nudges one power to make it new."""
+    return {"systems": [{"rank": i + 1, "name": f"s{i}", "country": "Germany",
+                         "rmax_tflops": 900.0 + 10 * i,
+                         "rpeak_tflops": 1200.0 + 10 * i,
+                         "power_kw": 800.0 + i + 1e-3 * tag}
+                        for i in range(n)],
+            "axes": {"pue": [1.0, 1.2]}}
+
+
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """Count the daemon's calls to ``parse_request``."""
+    from repro.serve import app
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return parse_request(*args, **kwargs)
+
+    monkeypatch.setattr(app, "parse_request", counting)
+    return calls
+
+
+class TestBodyMemo:
+    """A repeated inline body skips parsing; answers never change."""
+
+    def test_repeat_is_byte_identical_and_parses_once(self, parse_calls):
+        body = _inline_body()
+
+        async def scenario(server, get, post):
+            hits = obs.get_counter("serve.body_memo_hits")
+            misses = obs.get_counter("serve.body_memo_misses")
+            status, headers, first = await post("/v1/sweep", body)
+            assert status == 200 and headers["X-Repro-Cache"] == "miss"
+            for _ in range(3):
+                status, headers, again = await post("/v1/sweep", body)
+                assert status == 200 and headers["X-Repro-Cache"] == "hit"
+                assert again == first
+            assert len(parse_calls) == 1
+            assert obs.get_counter("serve.body_memo_hits") == hits + 3
+            assert obs.get_counter("serve.body_memo_misses") == misses + 1
+            # The entry keeps no systems and no records.
+            (parsed, key), = server._body_memo.values()
+            assert parsed.systems is None and isinstance(key, str)
+            # Both counters reach /readyz and the Prometheus export.
+            _, _, ready = await get("/readyz")
+            counters = json.loads(ready)["counters"]
+            assert {"serve.body_memo_hits",
+                    "serve.body_memo_misses"} <= set(counters)
+            _, _, text = await get("/metrics?format=prometheus")
+            assert b"repro_serve_body_memo_hits_total" in text
+            assert b"repro_serve_body_memo_misses_total" in text
+
+        run_server(scenario)
+
+    def test_builtin_fleet_bodies_are_not_memoized(self, parse_calls):
+        async def scenario(server, get, post):
+            for _ in range(2):
+                status, _, _ = await post("/v1/assess", {"fleet": "doe-like"})
+                assert status == 200
+            assert len(parse_calls) == 2
+            assert not server._body_memo
+
+        run_server(scenario)
+
+    def test_open_breaker_and_drain_refuse_a_memoized_body(self):
+        body = _inline_body()
+        config = ServeConfig(port=0, breaker_open_after=2,
+                             breaker_degrade_after=1,
+                             breaker_cooldown_s=60.0)
+
+        async def scenario(server, get, post):
+            status, _, _ = await post("/v1/sweep", body)
+            assert status == 200 and len(server._body_memo) == 1
+            for _ in range(2):
+                server.breaker.record_failure()
+            assert server.breaker.state == "open"
+            status, _, refused = await post("/v1/sweep", body)
+            assert status == 503
+            assert _error_code(refused) == "breaker-open"
+
+            await server.drain()
+            status, _, refused, _ = await server._route(
+                "POST", "/v1/sweep", json.dumps(body).encode("utf-8"))
+            assert status == 503
+            assert "draining" in json.loads(refused)["error"]["message"]
+
+        run_server(scenario, config)
+
+    def test_malformed_bodies_never_enter_the_memo(self, parse_calls):
+        bad_value = _inline_body()
+        bad_value["systems"][0]["power_kw"] = -5.0
+        bad_field = _inline_body()
+        bad_field["systems"][0]["warp_factor"] = 9
+        bodies = [b"{not json", json.dumps(bad_field).encode("utf-8"),
+                  json.dumps(bad_value).encode("utf-8")]
+
+        async def scenario(server, get, post):
+            loop = asyncio.get_running_loop()
+            for data in bodies:
+                for _ in range(2):
+                    status, _, error = await loop.run_in_executor(
+                        None, _post_raw, server.port, "/v1/sweep", data)
+                    assert status == 400
+                    assert _error_code(error) == "bad-request"
+            assert not server._body_memo
+            # The two bodies that decode are parsed on every repeat.
+            assert len(parse_calls) == 4
+
+        run_server(scenario)
+
+    def test_whitespace_and_key_order_share_one_cache_key(self):
+        body = _inline_body()
+        compact = json.dumps(body, separators=(",", ":")).encode("utf-8")
+        shuffled = dict(body, systems=[dict(reversed(list(item.items())))
+                                       for item in body["systems"]])
+        spaced = json.dumps(dict(reversed(list(shuffled.items()))),
+                            indent=2).encode("utf-8")
+        assert compact != spaced
+
+        async def scenario(server, get, post):
+            loop = asyncio.get_running_loop()
+            status, headers, first = await loop.run_in_executor(
+                None, _post_raw, server.port, "/v1/sweep", compact)
+            assert status == 200 and headers["X-Repro-Cache"] == "miss"
+            status, headers, second = await loop.run_in_executor(
+                None, _post_raw, server.port, "/v1/sweep", spaced)
+            assert status == 200 and headers["X-Repro-Cache"] == "hit"
+            assert second == first
+            entries = list(server._body_memo.values())
+            assert len(entries) == 2
+            assert entries[0][1] == entries[1][1]
+
+        run_server(scenario)
+
+    def test_memo_hit_after_invalidate_reparses_identically(
+            self, parse_calls):
+        body = _inline_body()
+
+        async def scenario(server, get, post):
+            _, _, first = await post("/v1/sweep", body)
+            server.cache.l1.clear()
+            server.warm.invalidate()
+            status, headers, again = await post("/v1/sweep", body)
+            assert status == 200 and headers["X-Repro-Cache"] == "miss"
+            assert again == first
+            assert len(parse_calls) == 2
+
+        run_server(scenario)
+
+
+class TestWarmStateBound:
+    def test_unique_inline_fleets_do_not_grow_the_warm_state(self):
+        from repro.serve import app
+
+        async def scenario(server, get, post):
+            evictions = obs.get_counter("serve.warm_evictions")
+            answers = []
+            for tag in range(40):
+                status, _, payload = await post("/v1/sweep",
+                                                _inline_body(tag=tag))
+                assert status == 200
+                answers.append(payload)
+            assert len(server.warm._fleets) <= 8
+            assert len(server._fleet_hashes) <= 8
+            assert len(server._body_memo) <= app._BODY_MEMO_MAX
+            assert obs.get_counter("serve.warm_evictions") \
+                >= evictions + 40 - 8
+
+            # The first fleet was evicted: asking again (past the result
+            # cache) rebuilds it once and answers byte-identically.
+            server.cache.l1.clear()
+            rebuilds = obs.get_counter("serve.warm_rebuilds")
+            status, headers, again = await post("/v1/sweep",
+                                                _inline_body(tag=0))
+            assert status == 200 and headers["X-Repro-Cache"] == "miss"
+            assert again == answers[0]
+            assert obs.get_counter("serve.warm_rebuilds") == rebuilds + 1
 
         run_server(scenario)

@@ -118,6 +118,18 @@ class TestCanonicalization:
         b = parse("assess", {"fleet": "doe-like", "deadline_s": 5})
         assert cache_key(a, "fh") == cache_key(b, "fh")
 
+    def test_inline_fleet_key_ignores_key_order(self):
+        item = {"rank": 1, "name": "s", "country": "Germany",
+                "rmax_tflops": 900.0, "rpeak_tflops": 1200.0,
+                "power_kw": 800.0}
+        left = parse("assess", {"systems": [item]})
+        right = parse("assess", {"systems": [dict(reversed(item.items()))]})
+        assert left.fleet_key == right.fleet_key
+        assert left.fleet_key.startswith("inline:")
+        changed = parse("assess", {"systems": [dict(item, power_kw=801.0)]})
+        assert changed.fleet_key != left.fleet_key
+        assert parse("assess", {"fleet": "doe-like"}).fleet_key == "doe-like"
+
     def test_fleet_content_hash_is_value_based(self):
         records = BUILTIN_FLEETS["doe-like"].systems
         copies = tuple(dataclasses.replace(r) for r in records)

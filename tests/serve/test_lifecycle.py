@@ -130,3 +130,32 @@ class TestWarmState:
             assert warm.peek("a") is None and warm.peek("b") is None
 
         asyncio.run(scenario())
+
+    def test_lru_bound_at_the_frame_cache_size(self):
+        from repro.core.vectorized import _FRAME_CACHE_MAX
+
+        async def scenario():
+            warm = WarmState()
+            await warm.records_for("keep", lambda: ("k",))
+            for i in range(_FRAME_CACHE_MAX + 4):
+                await warm.records_for(f"f{i}", lambda: ("x",))
+                await warm.records_for("keep", lambda: ("k",))  # touched
+            assert len(warm._fleets) == _FRAME_CACHE_MAX
+            assert warm.peek("keep") == ("k",)
+            assert warm.peek("f0") is None       # least recently used
+            assert warm.peek(f"f{_FRAME_CACHE_MAX + 3}") == ("x",)
+
+        asyncio.run(scenario())
+
+    def test_a_failed_build_leaves_nothing_behind(self):
+        async def scenario():
+            warm = WarmState()
+
+            def build():
+                raise ValueError("bad record")
+
+            with pytest.raises(ValueError):
+                await warm.records_for("bad", build)
+            assert warm.peek("bad") is None and not warm._fleets
+
+        asyncio.run(scenario())

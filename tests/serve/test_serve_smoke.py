@@ -2,8 +2,10 @@
 
 This mirrors the CI serve-smoke job: start ``python -m repro serve``
 as a subprocess, wait for readiness, run one assess and one
-64-scenario sweep (cache hit on repeat), then SIGTERM it and require a
-clean drain — exit code 0, with the drain line on stdout.  The
+64-scenario sweep (cache hit on repeat) and repeat one inline-systems
+sweep (answered from the raw-body memo and the cache the second time),
+then SIGTERM it and require a clean drain — exit code 0, with the drain
+line on stdout.  The
 keep-alive variant drives the daemon with a persistent-connection
 client, asserting connection reuse never changes a byte.
 """
@@ -75,6 +77,18 @@ def test_serve_smoke_sigterm_drains_to_exit_zero():
                                      "grid": "acceptance"})
         assert status == 200
         assert json.loads(sweep)["n_scenarios"] == 64
+
+        inline = {"systems": [
+            {"rank": i + 1, "name": f"s{i}", "country": "Germany",
+             "rmax_tflops": 900.0 + i, "rpeak_tflops": 1200.0 + i,
+             "power_kw": 800.0 + i} for i in range(3)],
+            "axes": {"pue": [1.0, 1.2]}}
+        status, headers, first = _request(port, "/v1/sweep", inline)
+        assert status == 200 and headers["X-Repro-Cache"] == "miss"
+        status, headers, again = _request(port, "/v1/sweep", inline)
+        assert status == 200 and headers["X-Repro-Cache"] == "hit"
+        assert again == first
+        assert json.loads(first)["fleet"] == "inline"
 
         process.send_signal(signal.SIGTERM)
         exit_code = process.wait(timeout=30)

@@ -366,6 +366,23 @@ class TestServeCli:
         assert captured.err.startswith("repro serve: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("beneath", [False, True],
+                             ids=["a-file", "beneath-a-file"])
+    def test_unusable_cache_dir_is_one_line_and_exit_2(
+            self, tmp_path, capsys, monkeypatch, beneath):
+        def refuse_to_start(config):
+            raise AssertionError(f"daemon started with {config}")
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        cache_dir = blocker / "l2" if beneath else blocker
+        monkeypatch.setattr("repro.serve.serve", refuse_to_start)
+        assert main(["serve", "--cache-dir", str(cache_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro serve: --cache-dir ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flags", [
         ["--workers", "2"], ["--janitor-interval-s", "1"],
         ["--replica-index", "1"], ["--tier-dir", "d"],
