@@ -714,14 +714,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     if config.cache_dir is not None:
+        # The L2 tier creates its directory; doing so here, before the
+        # event loop starts, turns a path that cannot be one into a
+        # usage error instead of a traceback.
+        from repro.serve.cachetier import DiskCacheL2
+
         try:
-            os.makedirs(config.cache_dir, exist_ok=True)
+            DiskCacheL2(config.cache_dir, max_bytes=config.cache_l2_bytes)
         except OSError as exc:
-            reason = ("a file is in the way"
-                      if isinstance(exc, FileExistsError)
-                      else exc.strerror or str(exc))
             print(f"repro serve: --cache-dir {config.cache_dir!r} is not "
-                  f"a usable directory: {reason}", file=sys.stderr)
+                  f"a usable directory: {exc.strerror or exc}",
+                  file=sys.stderr)
             return 2
     return serve(config)
 

@@ -55,7 +55,6 @@ and the process exits 0.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import hashlib
 import json
 import signal
@@ -94,8 +93,7 @@ _MAX_BODY_BYTES = 1 << 20  # inline fleets are records, not datasets
 _STREAM_CHUNK_BYTES = 64 << 10
 
 #: Inline-fleet bodies remembered by the raw-body memo (LRU).  An
-#: entry is a few hundred bytes: the parsed request without its
-#: systems, plus the cache key.
+#: entry is the body's digest and its cache key.
 _BODY_MEMO_MAX = 32
 
 
@@ -183,10 +181,9 @@ class AssessmentServer:
         self._request_no = 0
         #: builtin fleet name -> content hash (one entry per name).
         self._fleet_hashes: dict[str, str] = {}
-        #: (kind, sha256 of the raw body) -> (parsed request with
-        #: systems=None, cache key), for inline-fleet bodies only.
-        self._body_memo: \
-            "OrderedDict[tuple[str, bytes], tuple[ParsedRequest, str]]" = \
+        #: (kind, sha256 of the raw body) -> cache key, for inline-fleet
+        #: bodies only.
+        self._body_memo: "OrderedDict[tuple[str, bytes], str]" = \
             OrderedDict()
         self._server: "asyncio.base_events.Server | None" = None
         self._tasks: list[asyncio.Task] = []
@@ -473,27 +470,24 @@ class AssessmentServer:
             self.breaker.check_admission(self.draining)
             # The memo: a repeated inline body skips JSON decoding,
             # validation, digests and record construction, and goes
-            # straight to the cache with its memoized key.
+            # straight to the cache with its memoized key.  An entry is
+            # only that key, so a memo hit that misses the cache parses
+            # the body again like any other miss.
             memo_key = (kind, hashlib.sha256(raw).digest())
-            memo = self._body_memo.get(memo_key)
-            if memo is not None:
+            memoized = self._body_memo.get(memo_key)
+            if memoized is not None:
                 self._body_memo.move_to_end(memo_key)
                 obs.inc("serve.body_memo_hits")
-                parsed, key = memo
-            else:
-                parsed, key = self._parse(kind, raw)
-                if parsed.systems is not None:
-                    obs.inc("serve.body_memo_misses")
+                cached, tier = self._cache_lookup(memoized)
+                if cached is not None:
+                    return _cache_hit(cached, tier)
+            parsed, key = self._parse(kind, raw)
+            if memoized is None and parsed.fleet_name is None:
+                obs.inc("serve.body_memo_misses")
             cached, tier = self._cache_lookup(key)
             if cached is not None:
                 self._remember(memo_key, parsed, key)
-                return 200, {"X-Repro-Cache":
-                             "hit" if tier == "l1" else "hit-l2"}, \
-                    cached.encode("utf-8"), False
-            if memo is not None and self.warm.peek(parsed.fleet_key) is None:
-                # The memo holds no systems: rebuild the evicted
-                # records from the raw body, which is still in hand.
-                parsed, key = self._parse(kind, raw)
+                return _cache_hit(cached, tier)
             records = await self.warm.records_for(
                 parsed.fleet_key, lambda: fleet_records(parsed))
             self._remember(memo_key, parsed, key)
@@ -542,16 +536,11 @@ class AssessmentServer:
 
     def _remember(self, memo_key: tuple[str, bytes], parsed: ParsedRequest,
                   key: str) -> None:
-        """Memoize an inline body that parsed and resolved, minus its
-        systems.
-
-        A request without systems is skipped: a builtin-fleet body
-        parses in microseconds, and a memo entry is memoized already.
-        """
-        if parsed.systems is None:
+        """Memoize the cache key of an inline body that parsed and
+        resolved (a builtin-fleet body parses in microseconds)."""
+        if parsed.fleet_name is not None:
             return
-        self._body_memo[memo_key] = (
-            dataclasses.replace(parsed, systems=None), key)
+        self._body_memo[memo_key] = key
         self._body_memo.move_to_end(memo_key)
         while len(self._body_memo) > _BODY_MEMO_MAX:
             self._body_memo.popitem(last=False)
@@ -567,6 +556,12 @@ class AssessmentServer:
 
 def _json_body(payload: dict[str, Any]) -> bytes:
     return json.dumps(payload).encode("utf-8")
+
+
+def _cache_hit(cached: str, tier: "str | None",
+               ) -> tuple[int, dict[str, str], bytes, bool]:
+    return 200, {"X-Repro-Cache": "hit" if tier == "l1" else "hit-l2"}, \
+        cached.encode("utf-8"), False
 
 
 def _error_body(code: str, message: str, *,

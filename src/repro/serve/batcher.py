@@ -253,14 +253,11 @@ def fleet_records(parsed: ParsedRequest) -> tuple:
     if parsed.fleet_name is not None:
         from repro.fleets import BUILTIN_FLEETS
         return BUILTIN_FLEETS[parsed.fleet_name].systems
-    if parsed.systems is None:
-        raise ValueError("an inline request without its systems "
-                         "(a memoized request) names no records")
     from repro.core.record import SystemRecord
     from repro.hardware.memory import MemoryType
 
     records = []
-    for i, item in enumerate(parsed.systems):
+    for i, item in enumerate(parsed.systems or ()):
         kwargs = dict(item)
         if isinstance(kwargs.get("memory_type"), str):
             try:
