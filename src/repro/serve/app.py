@@ -57,7 +57,9 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import os
 import signal
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
@@ -436,8 +438,11 @@ class AssessmentServer:
 
     def _readyz(self) -> dict[str, Any]:
         ready = not self.draining and self.breaker.state != "open"
-        report = doctor_report(cache_dir=self.config.cache_dir,
-                               cache_max_bytes=self.config.cache_l2_bytes)
+        # The daemon's own L2 (the one ``__init__`` built, if any),
+        # never the doctor's environment fallback.
+        report = doctor_report(cache_dir=self.config.cache_dir or None,
+                               cache_max_bytes=self.config.cache_l2_bytes,
+                               env_fallback=False)
         report["serve"] = self._healthz()
         report["serve"]["admission"] = self.admission.stats()
         report["ready"] = ready
@@ -595,7 +600,18 @@ def _render_response(status: int, headers: dict[str, str],
 
 async def _serve_async(config: ServeConfig) -> int:
     server = AssessmentServer(config)
-    await server.start()
+    try:
+        await server.start()
+    except OSError as exc:
+        # A bound port or an unusable host is a usage error, like an
+        # out-of-range option: one stderr line and exit 2.  asyncio's
+        # bind message repeats the address, so print the errno's text
+        # (resolver errors carry negative codes and their own text).
+        reason = (os.strerror(exc.errno) if (exc.errno or 0) > 0
+                  else exc.strerror or str(exc))
+        print(f"repro serve: cannot listen on {config.host}:{config.port}: "
+              f"{reason}", file=sys.stderr)
+        return 2
     print(f"repro serve: listening on http://{config.host}:{server.port}",
           flush=True)
     await server.serve_forever()

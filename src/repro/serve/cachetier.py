@@ -26,6 +26,13 @@ other (same key ⇒ same bytes, so last-writer-wins is a no-op);
 readers see either a complete old file, a complete new file, or
 nothing.  Eviction is mtime-LRU under a byte budget — reads freshen
 mtime, and an eviction racing a read at worst costs a recompute.
+
+A write does not list the directory: each writer keeps a running byte
+tally (one scan at its first write, then ``len(blob)`` per put) and
+scans only when the tally crosses the high-water mark, ``max_bytes``
+plus ``1/_HIGH_WATER_DIVISOR`` of it.  A writer sees other writers'
+bytes only at its own scans, so several daemons sharing a directory
+can overshoot the mark by what the others wrote since.
 """
 
 from __future__ import annotations
@@ -51,6 +58,10 @@ _TMP_PREFIX = ".tmp-"
 
 _HEX = set(string.hexdigits.lower())
 
+#: A put scans once the tally passes ``max_bytes + max_bytes //
+#: _HIGH_WATER_DIVISOR``, so a writer scans at most once per that slack.
+_HIGH_WATER_DIVISOR = 8
+
 
 def _checked_key(key: str) -> str:
     """Validate that ``key`` is a lowercase hex digest.
@@ -66,9 +77,13 @@ def _checked_key(key: str) -> str:
 class DiskCacheL2:
     """File-backed shared result cache: one checksummed file per key.
 
-    ``max_bytes`` bounds the *payload* directory size; crossing it
-    evicts least-recently-used entries (by mtime — refreshed on every
-    hit) until the budget holds again (``serve.cache_l2_evictions``).
+    ``max_bytes`` bounds the *payload* directory size.  Puts add their
+    size to a running tally; once it passes the high-water mark a put
+    scans the directory (``serve.cache_l2_scans``) and evicts
+    least-recently-used entries (by mtime — refreshed on every hit)
+    until the budget holds again (``serve.cache_l2_evictions``).  One
+    writer's directory so never exceeds ``max_bytes * 9/8`` plus the
+    entry being written.
     """
 
     def __init__(self, directory: "str | os.PathLike", *,
@@ -78,6 +93,11 @@ class DiskCacheL2:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
+        self._high_water = max_bytes + max_bytes // _HIGH_WATER_DIVISOR
+        #: Bytes this writer believes the directory holds; ``None``
+        #: until the first put scans.  Re-puts of a key count twice,
+        #: which only brings the next scan sooner.
+        self._tally: "int | None" = None
 
     def _path(self, key: str) -> Path:
         return self.directory / (_checked_key(key) + _ENTRY_SUFFIX)
@@ -140,13 +160,19 @@ class DiskCacheL2:
                 pass
             return
         obs.inc("serve.cache_l2_puts")
-        self._evict_over_budget()
+        if self._tally is not None and \
+                self._tally + len(blob) <= self._high_water:
+            self._tally += len(blob)
+        else:
+            self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
-        """Unlink oldest-mtime entries until the byte budget holds."""
+        """Scan, then unlink oldest-mtime entries until the byte budget
+        holds; the tally becomes the directory's remaining total."""
+        obs.inc("serve.cache_l2_scans")
         entries = self._scan()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.max_bytes:
+        self._tally = sum(size for _, size, _ in entries)
+        if self._tally <= self.max_bytes:
             return
         for path, size, _ in sorted(entries, key=lambda e: e[2]):
             try:
@@ -154,8 +180,8 @@ class DiskCacheL2:
             except OSError:
                 continue
             obs.inc("serve.cache_l2_evictions")
-            total -= size
-            if total <= self.max_bytes:
+            self._tally -= size
+            if self._tally <= self.max_bytes:
                 return
 
     def _scan(self) -> list[tuple[Path, int, float]]:
@@ -192,6 +218,7 @@ class DiskCacheL2:
                 path.unlink()
             except OSError:
                 pass
+        self._tally = 0
 
 
 def l2_stats(directory: "str | os.PathLike | None",

@@ -24,9 +24,10 @@ Building the report has no side effects: ``/readyz`` may poll it every
 few seconds.
 
 The ``cache_tier`` section describes the shared L2 result cache
-(``docs/serving.md``): the daemon reports its configured directory;
-the CLI resolves ``--cache-dir`` or ``REPRO_SERVE_CACHE_DIR`` so an
-operator inspecting a host sees the same facts the daemon reports.
+(``docs/serving.md``): the daemon reports its own L2 (not configured
+when it runs without ``--cache-dir``); the CLI resolves
+``--cache-dir`` or ``REPRO_SERVE_CACHE_DIR`` so an operator inspecting
+a host sees the same facts the daemon reports.
 
 This module also renders the counter registry in Prometheus text
 exposition format (:func:`render_prometheus`) for the ``/metrics``
@@ -52,12 +53,15 @@ SCHEMA_VERSION = 2
 
 
 def doctor_report(*, cache_dir: "str | None" = None,
-                  cache_max_bytes: "int | None" = None) -> dict[str, Any]:
+                  cache_max_bytes: "int | None" = None,
+                  env_fallback: bool = True) -> dict[str, Any]:
     """The health report as one plain-data dict.
 
     Everything in it is JSON-serializable (asserted in tests), so the
     same object feeds ``repro doctor --json``, the human table, and
-    the daemon's health endpoints.
+    the daemon's health endpoints.  ``env_fallback=False`` (the
+    daemon) reports ``cache_dir=None`` as no L2 instead of reading
+    ``REPRO_SERVE_CACHE_DIR``.
     """
     from repro.parallel import faults as faults_mod
 
@@ -68,18 +72,20 @@ def doctor_report(*, cache_dir: "str | None" = None,
             "active_rules": len(faults_mod.active_plan().rules),
         },
         "cache_tier": _cache_tier_section(cache_dir=cache_dir,
-                                          cache_max_bytes=cache_max_bytes),
+                                          cache_max_bytes=cache_max_bytes,
+                                          env_fallback=env_fallback),
         "counters": {name: value for name, value
                      in obs.metrics_snapshot().items()},
     }
 
 
 def _cache_tier_section(*, cache_dir: "str | None",
-                        cache_max_bytes: "int | None") -> dict[str, Any]:
+                        cache_max_bytes: "int | None",
+                        env_fallback: bool) -> dict[str, Any]:
     """The shared-L2 view: directory, usage, and lifetime counters."""
     from repro.serve.cachetier import l2_stats
 
-    if cache_dir is None:
+    if cache_dir is None and env_fallback:
         cache_dir = os.environ.get(CACHE_DIR_ENV) or None
     stats = l2_stats(cache_dir, cache_max_bytes)
     return {

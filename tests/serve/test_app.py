@@ -305,6 +305,33 @@ class TestCacheBehavior:
         run_server(second_life,
                    ServeConfig(port=0, cache_dir=str(tmp_path)))
 
+    def test_readyz_without_l2_ignores_the_doctor_env_dir(
+            self, tmp_path, monkeypatch):
+        """A daemon with no ``--cache-dir`` has no L2, whatever the
+        doctor's ``REPRO_SERVE_CACHE_DIR`` fallback names."""
+        from repro.serve.health import CACHE_DIR_ENV
+
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        server = AssessmentServer(ServeConfig(port=0))
+        assert server.cache.l2 is None
+        tier = server._readyz()["cache_tier"]
+        assert tier["l2_dir"] is None
+        assert tier["l2_max_bytes"] == 0
+        assert tier["l2_entries"] == 0
+
+    def test_l2_scans_counter_reaches_metrics(self, tmp_path):
+        async def scenario(server, get, post):
+            status, _, _ = await post("/v1/sweep", {
+                "fleet": "doe-like", "axes": {"pue": [1.0, 1.1]}})
+            assert status == 200
+            _, _, metrics = await get("/metrics")
+            counters = json.loads(metrics)["counters"]
+            assert counters["serve.cache_l2_scans"] >= 1
+            _, _, text = await get("/metrics?format=prometheus")
+            assert b"repro_serve_cache_l2_scans_total" in text
+
+        run_server(scenario, ServeConfig(port=0, cache_dir=str(tmp_path)))
+
     def test_cache_load_fault_degrades_to_miss(self, monkeypatch):
         monkeypatch.setenv(faults.FAULT_SPEC_ENV, "raise@cache-load")
 

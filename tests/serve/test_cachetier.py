@@ -126,6 +126,101 @@ class TestDiskCacheL2:
         assert leftovers == []
 
 
+def _entry_bytes(payload: str = PAYLOAD) -> int:
+    return 65 + len(payload.encode("utf-8"))    # checksum + \n + payload
+
+
+def _dir_bytes(directory) -> int:
+    return sum(os.path.getsize(os.path.join(directory, name))
+               for name in os.listdir(directory) if name.endswith(".rc"))
+
+
+def _spy_scans(monkeypatch, cache) -> list:
+    """Record every directory scan ``cache`` makes."""
+    calls = []
+    real = cache._scan
+
+    def scan():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cache, "_scan", scan)
+    return calls
+
+
+def _key(i) -> str:
+    return hashlib.sha256(f"entry-{i}".encode()).hexdigest()
+
+
+class TestByteTally:
+    """A put adds its size to a running tally and lists the directory
+    only when the tally crosses ``max_bytes * 9/8``."""
+
+    def test_puts_under_budget_scan_at_most_once(self, tmp_path,
+                                                 monkeypatch):
+        cache = DiskCacheL2(tmp_path, max_bytes=1 << 20)
+        scans = _spy_scans(monkeypatch, cache)
+        before = obs.get_counter("serve.cache_l2_scans")
+        for i in range(50):
+            cache.put(_key(i), PAYLOAD)
+        assert len(scans) <= 1
+        puts_scans = obs.get_counter("serve.cache_l2_scans") - before
+        assert puts_scans == len(scans)
+        cache.stats()                       # probes scan, uncounted
+        assert obs.get_counter("serve.cache_l2_scans") - before == puts_scans
+
+    def test_churn_scans_once_per_eighth_and_stays_bounded(
+            self, tmp_path, monkeypatch):
+        max_bytes = 16 * _entry_bytes()
+        slack = max_bytes // 8
+        cache = DiskCacheL2(tmp_path, max_bytes=max_bytes)
+        for i in range(16):                 # a full cache
+            cache.put(_key(i), PAYLOAD)
+        assert _dir_bytes(tmp_path) == max_bytes
+        scans = _spy_scans(monkeypatch, cache)
+        before = obs.get_counter("serve.cache_l2_scans")
+        evicted = obs.get_counter("serve.cache_l2_evictions")
+        written = 0
+        for i in range(16, 216):
+            payload = PAYLOAD + " " * (i % 5)   # entries of mixed size
+            cache.put(_key(i), payload)
+            written += _entry_bytes(payload)
+            assert _dir_bytes(tmp_path) <= \
+                max_bytes + slack + _entry_bytes(payload)
+        assert len(scans) <= -(-written // slack) + 1
+        assert obs.get_counter("serve.cache_l2_scans") == before + len(scans)
+        assert obs.get_counter("serve.cache_l2_evictions") > evicted
+
+    def test_first_put_of_a_smaller_budget_evicts(self, tmp_path,
+                                                  monkeypatch):
+        """A warm restart with a smaller ``--cache-l2-bytes``: building
+        the instance scans nothing; its first put trims the directory."""
+        big = DiskCacheL2(tmp_path, max_bytes=1 << 20)
+        for i in range(20):
+            big.put(_key(i), PAYLOAD)
+        max_bytes = 5 * _entry_bytes()
+        small = DiskCacheL2(tmp_path, max_bytes=max_bytes)
+        scans = _spy_scans(monkeypatch, small)
+        assert _dir_bytes(tmp_path) == 20 * _entry_bytes()
+        evicted = obs.get_counter("serve.cache_l2_evictions")
+        small.put(_key(20), PAYLOAD)
+        assert len(scans) == 1
+        assert _dir_bytes(tmp_path) <= max_bytes
+        assert obs.get_counter("serve.cache_l2_evictions") == evicted + 16
+
+    def test_clear_zeroes_the_tally(self, tmp_path, monkeypatch):
+        cache = DiskCacheL2(tmp_path, max_bytes=4 * _entry_bytes())
+        for i in range(3):
+            cache.put(_key(i), PAYLOAD)
+        cache.clear()
+        assert _dir_bytes(tmp_path) == 0
+        scans = _spy_scans(monkeypatch, cache)
+        for i in range(3, 7):               # exactly the budget again
+            cache.put(_key(i), PAYLOAD)
+        assert scans == []                  # a stale tally would scan
+        assert _dir_bytes(tmp_path) == 4 * _entry_bytes()
+
+
 _WORKER = """
 import hashlib, sys
 sys.path.insert(0, {src!r})

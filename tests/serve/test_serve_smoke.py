@@ -7,7 +7,10 @@ sweep (answered from the raw-body memo and the cache the second time),
 then SIGTERM it and require a clean drain — exit code 0, with the drain
 line on stdout.  The
 keep-alive variant drives the daemon with a persistent-connection
-client, asserting connection reuse never changes a byte.
+client, asserting connection reuse never changes a byte.  The L2-budget
+variant churns a disk cache of a few KiB with distinct sweeps: it must
+evict, scan the directory less often than it writes, drain cleanly and
+leave at most the budget plus its high-water slack and one entry.
 """
 
 from __future__ import annotations
@@ -37,6 +40,19 @@ def _request(port, path, body=None):
             url, data=json.dumps(body).encode("utf-8"), method="POST")
     with urllib.request.urlopen(request, timeout=30) as response:
         return response.status, dict(response.headers), response.read()
+
+
+def _wait_ready(port):
+    deadline = time.monotonic() + 30
+    while True:
+        try:
+            status, _, body = _request(port, "/readyz")
+            if status == 200 and json.loads(body)["ready"]:
+                return
+        except (urllib.error.URLError, ConnectionError):
+            pass
+        assert time.monotonic() < deadline, "daemon never became ready"
+        time.sleep(0.1)
 
 
 @pytest.mark.timeout(60)
@@ -116,16 +132,7 @@ def test_serve_smoke_keepalive_client_then_clean_drain(tmp_path):
         assert "listening on http://127.0.0.1:" in ready_line, ready_line
         port = int(ready_line.split("http://127.0.0.1:", 1)[1].split()[0])
 
-        deadline = time.monotonic() + 30
-        while True:
-            try:
-                status, _, body = _request(port, "/readyz")
-                if status == 200 and json.loads(body)["ready"]:
-                    break
-            except (urllib.error.URLError, ConnectionError):
-                pass
-            assert time.monotonic() < deadline, "daemon never became ready"
-            time.sleep(0.1)
+        _wait_ready(port)
 
         # Fresh-connection references (urllib sends Connection: close).
         request_body = {"fleet": "doe-like", "axes": {"pue": [1.0, 1.2]}}
@@ -158,3 +165,51 @@ def test_serve_smoke_keepalive_client_then_clean_drain(tmp_path):
     # The drain leaves no half-written L2 temp file.
     assert [name for name in os.listdir(cache_dir)
             if name.startswith(".tmp-")] == []
+
+
+@pytest.mark.timeout(120)
+def test_serve_smoke_l2_budget_churn_then_clean_drain(tmp_path):
+    cache_dir = tmp_path / "l2"
+    budget = 4096
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env.pop("REPRO_FAULT_SPEC", None)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache-dir", str(cache_dir), "--cache-l2-bytes", str(budget)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, cwd=REPO_ROOT, env=env)
+    try:
+        ready_line = process.stdout.readline()
+        assert "listening on http://127.0.0.1:" in ready_line, ready_line
+        port = int(ready_line.split("http://127.0.0.1:", 1)[1].split()[0])
+
+        _wait_ready(port)
+
+        largest = 0
+        for i in range(20):
+            status, headers, body = _request(port, "/v1/sweep", {
+                "fleet": "doe-like",
+                "axes": {"pue": [1.0, 1.01 + i / 100]}})
+            assert status == 200 and headers["X-Repro-Cache"] == "miss"
+            largest = max(largest, 65 + len(body))  # checksum line + body
+
+        _, _, body = _request(port, "/metrics")
+        counters = json.loads(body)["counters"]
+        assert counters["serve.cache_l2_puts"] == 20
+        assert counters["serve.cache_l2_evictions"] > 0
+        assert counters["serve.cache_l2_scans"] < counters[
+            "serve.cache_l2_puts"]
+
+        process.send_signal(signal.SIGTERM)
+        exit_code = process.wait(timeout=30)
+        assert exit_code == 0
+        assert "drained, exiting" in process.stdout.read()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+    names = os.listdir(cache_dir)
+    assert [name for name in names if name.startswith(".tmp-")] == []
+    on_disk = sum((cache_dir / name).stat().st_size for name in names)
+    assert on_disk <= budget + budget // 8 + largest

@@ -1,6 +1,7 @@
 """Named-fleet extension + CLI tests."""
 
 import pickle
+import socket
 
 import numpy as np
 import pytest
@@ -381,6 +382,21 @@ class TestServeCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("repro serve: --cache-dir ")
+        assert captured.err.count("\n") == 1
+
+    def test_port_in_use_is_one_line_and_exit_2(self, capsys):
+        blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = blocker.getsockname()[1]
+            assert main(["serve", "--port", str(port)]) == 2
+        finally:
+            blocker.close()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"repro serve: cannot listen on 127.0.0.1:{port}: ")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [
