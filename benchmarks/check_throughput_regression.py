@@ -24,6 +24,12 @@ A metric fails when it drops more than ``--max-regression`` (default
 baseline are reported but never fail (so new metrics can land in the
 same PR that introduces them).
 
+Every current file must be a fresh measurement: the gate fails when a
+current file is missing or not JSON, lacks a gated metric, or is
+byte-identical to its baseline (a benchmark that failed before writing
+leaves the committed file in place, which would otherwise be compared
+with itself and pass).
+
 With ``--scaling-baseline``/``--scaling-current`` the gate also reads
 ``BENCH_scaling.json`` (the Monte-Carlo band fan-out, serial kernel vs
 threads) and checks ``threads_vs_serial`` at the curve's gate shape
@@ -107,11 +113,11 @@ def _check_ratios(baseline: dict, current: dict, metrics: tuple[str, ...],
         base = _metric(baseline, name)
         new = _metric(current, name)
         label = f"{prefix}{name}"
-        if base is None:
-            print(f"  {label}: no committed baseline (current: {new}) — skip")
-            continue
         if new is None:
             failures.append(f"{label}: missing from current measurement")
+            continue
+        if base is None:
+            print(f"  {label}: no committed baseline (current: {new}) — skip")
             continue
         floor = base * (1.0 - max_regression)
         status = "OK" if new >= floor else "REGRESSION"
@@ -136,7 +142,7 @@ def _check_serve_floors(current: dict, max_regression: float,
       *grows* past ``1 / (1 - max_regression)`` of the committed value.
     """
     keepalive = _metric(current, "keepalive.speedup_vs_close")
-    if keepalive is not None:
+    if keepalive is not None:   # its absence already failed the ratios
         status = "OK" if keepalive >= KEEPALIVE_FLOOR else "BELOW FLOOR"
         print(f"  serve.keepalive.speedup_vs_close: {keepalive:.2f} "
               f"(absolute floor {KEEPALIVE_FLOOR:.2f}) {status}")
@@ -147,12 +153,12 @@ def _check_serve_floors(current: dict, max_regression: float,
 
     committed_ms = _metric(baseline, "l2_warm_restart.hit_ms.p50")
     measured_ms = _metric(current, "l2_warm_restart.hit_ms.p50")
-    if committed_ms is None:
-        print(f"  serve.l2_warm_restart.hit_ms.p50: no committed baseline "
-              f"(current: {measured_ms}) — skip")
-    elif measured_ms is None:
+    if measured_ms is None:
         failures.append("serve: l2_warm_restart.hit_ms.p50 missing from "
                         "current measurement")
+    elif committed_ms is None:
+        print(f"  serve.l2_warm_restart.hit_ms.p50: no committed baseline "
+              f"(current: {measured_ms}) — skip")
     else:
         ceiling = committed_ms / (1.0 - max_regression)
         status = "OK" if measured_ms <= ceiling else "REGRESSION"
@@ -188,12 +194,12 @@ def _check_scaling(baseline: dict, current: dict, max_regression: float,
         "threads_vs_serial")
     measured = cur.get("threads_vs_serial")
     label = f"scaling.threads_vs_serial@{shape}"
+    if measured is None:
+        failures.append(f"{label}: missing from current measurement")
+        return
     if committed is None:
         print(f"  {label}: no committed baseline (current: {measured}) "
               "— skip")
-        return
-    if measured is None:
-        failures.append(f"{label}: missing from current measurement")
         return
     limit = committed * (1.0 - max_regression)
     status = "OK" if measured >= limit else "REGRESSION"
@@ -203,6 +209,31 @@ def _check_scaling(baseline: dict, current: dict, max_regression: float,
         failures.append(
             f"{label} regressed >{max_regression:.0%}: "
             f"{committed:.2f} -> {measured:.2f}")
+
+
+def _read_pair(baseline_path: str | None, current_path: str, label: str,
+               failures: list[str]) -> tuple[dict, dict] | None:
+    """``(baseline, current)`` JSON, or None once ``failures`` says why
+    the current file is no fresh measurement."""
+    try:
+        with open(current_path, "rb") as fh:
+            current_raw = fh.read()
+        current = json.loads(current_raw)
+    except (OSError, ValueError) as exc:
+        failures.append(f"{label}: no readable current result at "
+                        f"{current_path} ({exc})")
+        return None
+    baseline = {}
+    if baseline_path:
+        with open(baseline_path, "rb") as fh:
+            baseline_raw = fh.read()
+        if baseline_raw == current_raw:
+            failures.append(f"{label}: {current_path} is byte-identical to "
+                            f"the baseline {baseline_path}; the benchmark "
+                            "wrote no fresh result")
+            return None
+        baseline = json.loads(baseline_raw)
+    return baseline, current
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -227,36 +258,26 @@ def main(argv: list[str] | None = None) -> int:
                              "speedups (default 0.50)")
     args = parser.parse_args(argv)
 
-    with open(args.baseline, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    with open(args.current, encoding="utf-8") as fh:
-        current = json.load(fh)
-
-    failures = []
-    _check_ratios(baseline, current, METRICS, args.max_regression,
-                  "", failures)
+    failures: list[str] = []
+    pair = _read_pair(args.baseline, args.current, "throughput", failures)
+    if pair is not None:
+        _check_ratios(*pair, METRICS, args.max_regression, "", failures)
 
     if args.serve_current:
-        serve_baseline = {}
-        if args.serve_baseline:
-            with open(args.serve_baseline, encoding="utf-8") as fh:
-                serve_baseline = json.load(fh)
-        with open(args.serve_current, encoding="utf-8") as fh:
-            serve_current = json.load(fh)
-        _check_ratios(serve_baseline, serve_current, SERVE_METRICS,
-                      args.serve_max_regression, "serve.", failures)
-        _check_serve_floors(serve_current, args.serve_max_regression,
-                            serve_baseline, failures)
+        pair = _read_pair(args.serve_baseline, args.serve_current, "serve",
+                          failures)
+        if pair is not None:
+            serve_baseline, serve_current = pair
+            _check_ratios(serve_baseline, serve_current, SERVE_METRICS,
+                          args.serve_max_regression, "serve.", failures)
+            _check_serve_floors(serve_current, args.serve_max_regression,
+                                serve_baseline, failures)
 
     if args.scaling_current:
-        scaling_baseline = {}
-        if args.scaling_baseline:
-            with open(args.scaling_baseline, encoding="utf-8") as fh:
-                scaling_baseline = json.load(fh)
-        with open(args.scaling_current, encoding="utf-8") as fh:
-            scaling_current = json.load(fh)
-        _check_scaling(scaling_baseline, scaling_current,
-                       args.scaling_max_regression, failures)
+        pair = _read_pair(args.scaling_baseline, args.scaling_current,
+                          "scaling", failures)
+        if pair is not None:
+            _check_scaling(*pair, args.scaling_max_regression, failures)
 
     if failures:
         print("\nthroughput regression gate FAILED:", file=sys.stderr)

@@ -612,8 +612,14 @@ def cmd_shift(args: argparse.Namespace) -> int:
         return 0
 
     if args.ci_csv:
+        from repro.errors import ParseError
         from repro.grid.intervals import read_ci_csv
-        profile = read_ci_csv(args.ci_csv)
+        try:
+            profile = read_ci_csv(args.ci_csv)
+        except (ParseError, OSError) as exc:
+            print(f"repro shift: cannot read --ci-csv: {exc}",
+                  file=sys.stderr)
+            return 2
     elif args.amplitude:
         from repro.grid.intervals import synthetic_diurnal
         profile = synthetic_diurnal(1.0, amplitude=args.amplitude,

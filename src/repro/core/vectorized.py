@@ -23,6 +23,13 @@ in two:
    re-evaluate with different catalogs, grids and utilizations without
    re-extraction.
 
+Each footprint's arithmetic is written once.  The operational kernel
+evaluates ``(n_scenarios, n_systems)`` cells; :func:`operational_batch`
+is that kernel at one scenario and :func:`repro.scenarios.sweep` calls
+it with a whole grid.  The embodied kernel builds one row per unique
+(catalog, fab_yield) configuration; :func:`embodied_batch` is one such
+row and the sweep stacks them.
+
 Records the array path cannot represent exactly (component-power
 energy rebuilds, strict-catalog lookup failures, out-of-domain values)
 fall back to the scalar models record-by-record, so every batch
@@ -54,27 +61,22 @@ from repro.core.estimate import (
     EstimateMethod,
     SystemAssessment,
 )
-from repro.core.operational import OperationalModel, resolve_cpu_count
+from repro.core.operational import OperationalModel
 from repro.core.record import SystemRecord
 from repro.errors import InsufficientDataError
-from repro.grid.intensity import GridIntensityDB, DEFAULT_GRID_DB
+from repro.grid.intensity import GridIntensityDB
 from repro.hardware.memory import MemoryType
 
 __all__ = [
-    "FleetArrays",
     "FleetFrame",
-    "FleetBatch",
     "EmbodiedBatch",
     "OperationalBatch",
     "fleet_frame",
-    "fleet_to_arrays",
-    "fleet_batch_arrays",
     "batch_operational_mt",
     "batch_embodied_mt",
     "operational_batch",
     "embodied_batch",
     "assess_fleet_frame",
-    "fleet_total_mt",
 ]
 
 # Operational energy-path codes (FleetFrame.op_path).  Coverage is a
@@ -537,44 +539,44 @@ def clear_frame_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Operational batch path
+# Lowering: one resolution per unique model configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FleetArrays:
-    """Legacy column view of the operational inputs.
+def _dedupe(models, key_fn, resolve_fn):
+    """Resolve one artifact per unique key; map scenarios onto them."""
+    seen: dict = {}
+    resolved = []
+    index_map = np.empty(len(models), dtype=np.int64)
+    for s, model in enumerate(models):
+        key = key_fn(model)
+        r = seen.get(key)
+        if r is None:
+            obs.inc("cache.lowering_misses")
+            r = seen[key] = len(resolved)
+            resolved.append(resolve_fn(model))
+        else:
+            obs.inc("cache.lowering_hits")
+        index_map[s] = r
+    return resolved, index_map
 
-    Retained for backward compatibility; :class:`FleetFrame` is the
-    primary structure (it additionally covers the embodied inputs and
-    dictionary-encodes locations so ACI resolution is per-unique, not
-    per-record).
+
+def _grid_key(grid) -> tuple:
+    """Value key for ACI-row sharing.
+
+    Scenario lowering derives a fresh ``GridIntensityDB`` per spec, so
+    identity misses; two grids with equal entries resolve every lookup
+    to the identical float, which is exactly the sharing the kernel
+    needs (e.g. a 64-scenario grid with 4 distinct ACI scales resolves
+    4 rows, not 64).
     """
-
-    ranks: np.ndarray            # (n,) int
-    power_kw: np.ndarray         # (n,) float, nan = missing
-    annual_energy_kwh: np.ndarray
-    utilization: np.ndarray      # nan = default
-    aci: np.ndarray              # (n,) float, nan = unknown location
-    needs_scalar: np.ndarray     # (n,) bool
-
-    @property
-    def n(self) -> int:
-        return len(self.ranks)
+    return (tuple(sorted(grid.country_aci.items())),
+            tuple(sorted(grid.region_aci.items())),
+            grid.world_average)
 
 
-def fleet_to_arrays(records: list[SystemRecord],
-                    grid: GridIntensityDB = DEFAULT_GRID_DB) -> FleetArrays:
-    """Extract the operational-model columns from a fleet."""
-    frame = fleet_frame(records)
-    return FleetArrays(
-        ranks=frame.ranks,
-        power_kw=frame.power_kw,
-        annual_energy_kwh=frame.annual_energy_kwh,
-        utilization=frame.utilization,
-        aci=frame.aci(grid),
-        needs_scalar=frame.op_path == _OP_COMPONENT,
-    )
-
+# ---------------------------------------------------------------------------
+# Operational kernel
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _ComponentFactors:
@@ -702,8 +704,6 @@ class OperationalBatch:
 
     values_mt: np.ndarray        # nan where uncovered
     uncertainty_frac: np.ndarray  # nan where uncovered
-    aci: np.ndarray
-    scalar_idx: np.ndarray       # indices evaluated by the scalar model
     #: estimate objects from the scalar fallback (None = uncovered),
     #: keyed by record index — reused when assessments are materialized
     #: so no record is estimated twice.
@@ -712,141 +712,172 @@ class OperationalBatch:
     #: records (None otherwise) — reused to materialize assessments.
     comp_factors: _ComponentFactors | None = None
 
+    @property
+    def scalar_idx(self) -> np.ndarray:
+        """Indices evaluated by the scalar model."""
+        return np.fromiter(self.scalar_estimates, dtype=np.int64)
 
-def _operational_kernel(power: np.ndarray, energy: np.ndarray,
-                        utilization: np.ndarray, aci: np.ndarray,
-                        needs_scalar: np.ndarray,
-                        model: OperationalModel,
-                        records: Sequence[SystemRecord],
-                        unc_out: np.ndarray | None = None,
-                        estimates_out: dict[int, CarbonEstimate | None]
-                        | None = None) -> np.ndarray:
-    """Shared kernel: reported-energy / measured-power arithmetic plus
-    the scalar fallback, mirroring the scalar model's operation order
-    exactly (bit-identical results).
 
-    When ``unc_out`` / ``estimates_out`` are given, the scalar fallback
-    also records each estimate's ``uncertainty_frac`` / the estimate
-    object itself there (one estimate call serves every output).
+def _operational_sweep(frame: FleetFrame,
+                       models: Sequence[OperationalModel],
+                       ) -> tuple[np.ndarray, np.ndarray,
+                                  list[dict[int, CarbonEstimate | None]],
+                                  list[_ComponentFactors | None]]:
+    """The operational model over ``(n_scenarios, n_systems)`` cells.
+
+    The one implementation of the operational arithmetic: the scenario
+    sweep calls it with every scenario's model, :func:`operational_batch`
+    with one.  Scenario-dependent quantities broadcast in the scalar
+    model's operation order, so every row is bit-identical to looping
+    ``model.estimate``.
+
+    Returns ``(values, unc, estimates, comp_factors)``: the value and
+    uncertainty matrices (nan = uncovered), and per scenario the
+    scalar-fallback estimates keyed by record index (None = uncovered)
+    and the component factor table (None when no record takes the
+    component-power path).
     """
-    out = np.full(len(aci), np.nan)
-    pue = model.pue.for_measured_power()
+    n_scen, n = len(models), frame.n
+    obs.inc("kernel.cells", n_scen * n)
+    values = np.full((n_scen, n), np.nan)
+    unc = np.full((n_scen, n), np.nan)
+    estimates: list[dict[int, CarbonEstimate | None]] = \
+        [{} for _ in range(n_scen)]
+    comp_factors: list[_ComponentFactors | None] = [None] * n_scen
+
+    # Per-scenario ACI rows: one unique-location resolution per unique
+    # grid, gathered through the frame's location codes.
+    aci_rows, grid_map = _dedupe(models, lambda m: _grid_key(m.grid),
+                                 lambda m: frame.aci(m.grid))
+    aci2d = np.stack(aci_rows)[grid_map]
+    # nan columns mark records with no grid location — a property of
+    # the frame, not of any scenario's grid.
+    aci_ok = frame.loc_code >= 0
+
+    pue_meas = np.array([m.pue.for_measured_power() for m in models])
+    mpu = np.array([m.measured_power_utilization for m in models])
+    cu = np.array([m.component_utilization for m in models])
+    util = frame.utilization
 
     # Reported-energy path: (energy × PUE) × ACI ÷ 1000.
-    has_energy = ~np.isnan(energy) & ~np.isnan(aci)
-    e = energy[has_energy] * pue
-    out[has_energy] = (e * aci[has_energy]) / units.KG_PER_MT
+    he = ~np.isnan(frame.annual_energy_kwh) & aci_ok
+    if he.any():
+        e = frame.annual_energy_kwh[he][None, :] * pue_meas[:, None]
+        values[:, he] = (e * aci2d[:, he]) / units.KG_PER_MT
+        unc[:, he] = np.minimum(
+            op_mod.METHOD_UNCERTAINTY[EstimateMethod.REPORTED_ENERGY]
+            + 0.02 * frame.region_missing[he].astype(np.float64),
+            2.0)[None, :]
 
     # Measured-power path: (((power × util) × hours) × PUE) × ACI ÷ 1000.
-    has_power = np.isnan(energy) & ~np.isnan(power) & ~np.isnan(aci)
-    util = np.where(np.isnan(utilization),
-                    model.measured_power_utilization, utilization)
-    e = ((power[has_power] * util[has_power]) * units.HOURS_PER_YEAR) * pue
-    out[has_power] = (e * aci[has_power]) / units.KG_PER_MT
+    hp = np.isnan(frame.annual_energy_kwh) & ~np.isnan(frame.power_kw) & aci_ok
+    if hp.any():
+        u = util[hp]
+        util2d = np.where(np.isnan(u)[None, :], mpu[:, None], u[None, :])
+        e = ((frame.power_kw[hp][None, :] * util2d)
+             * units.HOURS_PER_YEAR) * pue_meas[:, None]
+        values[:, hp] = (e * aci2d[:, hp]) / units.KG_PER_MT
+        n_notes = frame.region_missing[hp].astype(np.float64)[None, :] \
+            + ((mpu != 1.0)[:, None] & np.isnan(u)[None, :])
+        unc[:, hp] = np.minimum(
+            op_mod.METHOD_UNCERTAINTY[EstimateMethod.MEASURED_POWER]
+            + 0.02 * n_notes, 2.0)
 
-    # Component path: delegate to the scalar model.  Records without a
-    # grid location are simply uncovered (the scalar model raises
-    # before looking at energy), so they never reach this loop.
-    for i in np.flatnonzero(needs_scalar & ~np.isnan(aci)):
-        try:
-            estimate = model.estimate(records[i])
-            out[i] = estimate.value_mt
-            if unc_out is not None:
-                unc_out[i] = estimate.uncertainty_frac
-            if estimates_out is not None:
-                estimates_out[int(i)] = estimate
-        except InsufficientDataError:
-            out[i] = np.nan
-            if estimates_out is not None:
-                estimates_out[int(i)] = None
-    return out
+    # Component path: per-unique-catalog power rows, broadcast against
+    # per-scenario utilization, cooling-resolved PUE and ACI.
+    scalar_todo: list[tuple[int, np.ndarray]] = []
+    if bool((frame.op_path == _OP_COMPONENT).any()):
+        # Device power tables (and the rebuilt kW rows) depend only on
+        # the catalog; the per-scenario PUE enters as a separate
+        # cooling-resolved (S, 3) table, so a utilization/PUE sweep
+        # over one catalog resolves factors exactly once.
+        factors, cat_map = _dedupe(
+            models, lambda m: id(m.catalog),
+            lambda m: _resolve_component_factors(frame, m))
+        comp_factors = [factors[r] for r in cat_map]
+        kw = np.stack([_component_power_kw_array(frame, f)
+                       for f in factors])[cat_map]
+        util2d = np.where(np.isnan(util)[None, :], cu[:, None], util[None, :])
+        e = (kw * util2d) * units.HOURS_PER_YEAR
+        pue_cool = np.array([[m.pue.for_component_power(None),
+                              m.pue.for_component_power("liquid"),
+                              m.pue.for_component_power("air")]
+                             for m in models])
+        e = e * pue_cool[:, frame.cooling_code]
+        comp_vals = (e * aci2d) / units.KG_PER_MT
+
+        gpu_idx = np.where(frame.comp_gpu_code >= 0, frame.comp_gpu_code,
+                           len(frame.accelerators))
+        base_notes = ((frame.comp_cpu_src != _CPU_EXPLICIT)
+                      .astype(np.float64)
+                      + frame.comp_memory_defaulted + frame.comp_ssd_defaulted
+                      + np.isnan(util) + frame.region_missing)
+        # Coverage masks and note counts depend only on the factor
+        # table (plus the rare out-of-domain default utilization), so
+        # the masked scatter into the value matrix runs once per
+        # scenario *group*, not per scenario.
+        groups: dict[tuple[int, bool], list[int]] = {}
+        for s, model in enumerate(models):
+            cu_valid = 0.0 <= model.component_utilization <= 1.5
+            groups.setdefault((int(cat_map[s]), cu_valid), []).append(s)
+        for (r, _), scen in groups.items():
+            f = factors[r]
+            array_ok, needs_scalar = _component_partition(
+                frame, models[scen[0]], f)
+            cols = np.flatnonzero(array_ok & aci_ok)
+            idx = np.ix_(scen, cols)
+            values[idx] = comp_vals[idx]
+            n_notes = base_notes + (
+                frame.comp_accel & ((frame.comp_gpu_code < 0)
+                                    | ~f.gpu_known[gpu_idx]))
+            unc[idx] = np.minimum(
+                op_mod.METHOD_UNCERTAINTY[EstimateMethod.COMPONENT_POWER]
+                + 0.02 * n_notes[cols], 2.0)[None, :]
+            fallback = np.flatnonzero(needs_scalar & aci_ok)
+            if fallback.size:
+                scalar_todo.extend((s, fallback) for s in scen)
+
+    # Scalar fallback.  Records without a grid location are simply
+    # uncovered (the scalar model raises before looking at energy), so
+    # they never reach this loop.
+    for s, idxs in scalar_todo:
+        model = models[s]
+        for i in idxs:
+            try:
+                estimate = model.estimate(frame.records[i])
+            except InsufficientDataError:
+                estimates[s][int(i)] = None
+                continue
+            values[s, i] = estimate.value_mt
+            unc[s, i] = estimate.uncertainty_frac
+            estimates[s][int(i)] = estimate
+
+    unc[np.isnan(values)] = np.nan
+    return values, unc, estimates, comp_factors
 
 
 def operational_batch(frame: FleetFrame,
                       model: OperationalModel | None = None,
                       ) -> OperationalBatch:
-    """Evaluate the operational model over a frame (array fast path).
+    """Evaluate the operational model over a frame: the sweep kernel at
+    one scenario.
 
     Also derives the per-record uncertainty band as arrays (base method
     uncertainty widened by 0.02 per recorded assumption — identical to
     the scalar model's arithmetic), so Monte-Carlo fleet bands never
     need estimate objects.
     """
-    obs.inc("kernel.cells", frame.n)
-    with obs.span("batch.operational", n_systems=frame.n):
-        return _operational_batch_impl(frame, model)
-
-
-def _operational_batch_impl(frame: FleetFrame,
-                            model: OperationalModel | None = None,
-                            ) -> OperationalBatch:
     model = model or OperationalModel()
-    aci = frame.aci(model.grid)
-    is_comp = frame.op_path == _OP_COMPONENT
-    comp_factors = None
-    comp_array = np.zeros(frame.n, dtype=bool)
-    needs_scalar = np.zeros(frame.n, dtype=bool)
-    if is_comp.any():
-        comp_factors = _resolve_component_factors(frame, model)
-        comp_array, needs_scalar = _component_partition(frame, model,
-                                                        comp_factors)
-    scalar_idx = np.flatnonzero(needs_scalar & ~np.isnan(aci))
-    unc = np.full(frame.n, np.nan)
-    scalar_estimates: dict[int, CarbonEstimate | None] = {}
-    values = _operational_kernel(frame.power_kw, frame.annual_energy_kwh,
-                                 frame.utilization, aci, needs_scalar,
-                                 model, frame.records, unc_out=unc,
-                                 estimates_out=scalar_estimates)
-
-    if comp_array.any():
-        # Component path (vectorized): the rebuild that used to fall
-        # back to the scalar model per record.  Mirrors the scalar
-        # float-op order: power → (kw × util) × hours → × PUE(cooling)
-        # → × ACI ÷ 1000.
-        kw = _component_power_kw_array(frame, comp_factors)
-        util = np.where(np.isnan(frame.utilization),
-                        model.component_utilization, frame.utilization)
-        e = (kw * util) * units.HOURS_PER_YEAR
-        e = e * comp_factors.pue_by_cooling[frame.cooling_code]
-        mask = comp_array & ~np.isnan(aci)
-        comp_vals = (e * aci) / units.KG_PER_MT
-        values[mask] = comp_vals[mask]
-        gpu_idx = np.where(frame.comp_gpu_code >= 0, frame.comp_gpu_code,
-                           len(frame.accelerators))
-        n_comp_notes = (
-            (frame.comp_cpu_src != _CPU_EXPLICIT).astype(np.float64)
-            + (frame.comp_accel & ((frame.comp_gpu_code < 0)
-                                   | ~comp_factors.gpu_known[gpu_idx]))
-            + frame.comp_memory_defaulted + frame.comp_ssd_defaulted
-            + np.isnan(frame.utilization) + frame.region_missing)
-        unc[mask] = np.minimum(
-            op_mod.METHOD_UNCERTAINTY[EstimateMethod.COMPONENT_POWER]
-            + 0.02 * n_comp_notes[mask], 2.0)
-
-    n_notes = frame.region_missing.astype(np.float64)
-    covered = ~np.isnan(values)
-    is_energy = covered & (frame.op_path == _OP_ENERGY)
-    unc[is_energy] = np.minimum(
-        op_mod.METHOD_UNCERTAINTY[EstimateMethod.REPORTED_ENERGY]
-        + 0.02 * n_notes[is_energy], 2.0)
-    is_power = covered & (frame.op_path == _OP_POWER)
-    if model.measured_power_utilization != 1.0:
-        n_power_notes = n_notes + np.isnan(frame.utilization)
-    else:
-        n_power_notes = n_notes
-    unc[is_power] = np.minimum(
-        op_mod.METHOD_UNCERTAINTY[EstimateMethod.MEASURED_POWER]
-        + 0.02 * n_power_notes[is_power], 2.0)
-
-    return OperationalBatch(values_mt=values, uncertainty_frac=unc,
-                            aci=aci, scalar_idx=scalar_idx,
-                            scalar_estimates=scalar_estimates,
-                            comp_factors=comp_factors)
+    with obs.span("batch.operational", n_systems=frame.n):
+        values, unc, estimates, comp_factors = \
+            _operational_sweep(frame, (model,))
+    return OperationalBatch(values_mt=values[0], uncertainty_frac=unc[0],
+                            scalar_estimates=estimates[0],
+                            comp_factors=comp_factors[0])
 
 
 def batch_operational_mt(records: list[SystemRecord],
                          model: OperationalModel | None = None,
-                         arrays: FleetArrays | None = None,
                          frame: FleetFrame | None = None) -> np.ndarray:
     """Operational carbon (MT CO2e) per record; ``nan`` where uncovered.
 
@@ -854,26 +885,13 @@ def batch_operational_mt(records: list[SystemRecord],
     taking ``value_mt`` (or ``nan`` on
     :class:`~repro.errors.InsufficientDataError`).
 
-    Without ``arrays``/``frame``, the fleet's frame comes from the
-    identity-keyed :func:`fleet_frame` cache — records must be treated
-    as immutable once evaluated (after an in-place mutation, call
-    :func:`clear_frame_cache`).
-
-    Args:
-        records: the fleet.
-        model: scalar model providing the semantics (defaults shared).
-        arrays: pre-extracted legacy columns (ACI already resolved —
-            pass when sweeping models that share one grid).
-        frame: pre-extracted :class:`FleetFrame` (preferred; resolves
-            ACI per model, so grid sweeps reuse it too).
+    Without ``frame``, the fleet's frame comes from the identity-keyed
+    :func:`fleet_frame` cache — records must be treated as immutable
+    once evaluated (after an in-place mutation, call
+    :func:`clear_frame_cache`).  Pass a pre-extracted
+    :class:`FleetFrame` to reuse it across model sweeps (it resolves
+    ACI per model, so grid sweeps reuse it too).
     """
-    model = model or OperationalModel()
-    if arrays is not None:
-        if arrays.n != len(records):
-            raise ValueError("arrays/records length mismatch")
-        return _operational_kernel(arrays.power_kw, arrays.annual_energy_kwh,
-                                   arrays.utilization, arrays.aci,
-                                   arrays.needs_scalar, model, records)
     if frame is None:
         frame = fleet_frame(records)
     if frame.n != len(records):
@@ -947,52 +965,6 @@ def _resolve_embodied_factors(frame: FleetFrame,
     )
 
 
-def _embodied_partition(frame: FleetFrame, factors: _EmbodiedFactors,
-                        ) -> tuple[np.ndarray, np.ndarray,
-                                   np.ndarray, np.ndarray]:
-    """(array_ok, needs_scalar, cpu_idx, mem_idx) for one (frame, model).
-
-    A strict-catalog CPU failure must reach the scalar model for every
-    record whose CPU count resolved — the scalar path raises
-    UnknownDeviceError there even when a later check (e.g. missing
-    accelerator identity) would have made the record uncovered.
-    """
-    cpu_idx = np.where(frame.cpu_code >= 0, frame.cpu_code,
-                       len(frame.processors))
-    needs_scalar = frame.emb_needs_scalar | (
-        frame.cpu_resolved & factors.cpu_failed[cpu_idx])
-    has_gpu = frame.gpu_code >= 0
-    gpu_fail = np.zeros(frame.n, dtype=bool)
-    gpu_fail[has_gpu] = factors.gpu_failed[frame.gpu_code[has_gpu]]
-    needs_scalar = needs_scalar | (frame.emb_covered & gpu_fail)
-    array_ok = frame.emb_covered & ~needs_scalar
-    mem_idx = np.where(frame.mem_code >= 0, frame.mem_code,
-                       len(frame.memory_types))
-    return array_ok, needs_scalar, cpu_idx, mem_idx
-
-
-def _embodied_kg_terms(factors: _EmbodiedFactors, n_cpus: np.ndarray,
-                       cpu_idx: np.ndarray, n_gpus: np.ndarray,
-                       gpu_code: np.ndarray, memory_gb: np.ndarray,
-                       mem_idx: np.ndarray, ssd_gb: np.ndarray,
-                       n_nodes: np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                  np.ndarray, np.ndarray]:
-    """Component terms (kg), mirroring the scalar breakdown order.
-
-    Pure column arithmetic — shared by the batch path and the scenario
-    sweep kernel, so the float-op order lives in exactly one place.
-    """
-    cpu_kg = n_cpus * factors.cpu_pkg_kg[cpu_idx]
-    gpu_kg = np.zeros(len(n_cpus))
-    has_gpu = gpu_code >= 0
-    gpu_kg[has_gpu] = n_gpus[has_gpu] * factors.gpu_dev_kg[gpu_code[has_gpu]]
-    mem_kg = memory_gb * factors.mem_kg_per_gb[mem_idx]
-    ssd_kg = ssd_gb * factors.ssd_kg_per_gb
-    node_kg = n_nodes * factors.node_kg
-    return cpu_kg, gpu_kg, mem_kg, ssd_kg, node_kg
-
-
 @dataclass(frozen=True)
 class EmbodiedBatch:
     """Array results of one embodied evaluation over a frame."""
@@ -1022,21 +994,40 @@ def embodied_batch(frame: FleetFrame,
     """
     obs.inc("kernel.cells", frame.n)
     with obs.span("batch.embodied", n_systems=frame.n):
-        return _embodied_batch_impl(frame, model)
+        return _embodied_batch_impl(frame, model or EmbodiedModel())
 
 
 def _embodied_batch_impl(frame: FleetFrame,
-                         model: EmbodiedModel | None = None) -> EmbodiedBatch:
-    model = model or EmbodiedModel()
-    factors = _resolve_embodied_factors(frame, model)
-    array_ok, needs_scalar, cpu_idx, mem_idx = \
-        _embodied_partition(frame, factors)
+                         model: EmbodiedModel) -> EmbodiedBatch:
+    """One model's embodied row: component terms in the scalar
+    breakdown order, the uncertainty band, then the scalar fallback.
 
-    cpu_kg, gpu_kg, mem_kg, ssd_kg, node_kg = _embodied_kg_terms(
-        factors, frame.n_cpus, cpu_idx, frame.n_gpus, frame.gpu_code,
-        frame.memory_gb, mem_idx, frame.ssd_gb, frame.n_nodes)
-    total_kg = (((cpu_kg + gpu_kg) + mem_kg) + ssd_kg) + node_kg
+    A strict-catalog CPU failure must reach the scalar model for every
+    record whose CPU count resolved — the scalar path raises
+    UnknownDeviceError there even when a later check (e.g. missing
+    accelerator identity) would have made the record uncovered.
+    """
+    factors = _resolve_embodied_factors(frame, model)
+    cpu_idx = np.where(frame.cpu_code >= 0, frame.cpu_code,
+                       len(frame.processors))
     has_gpu = frame.gpu_code >= 0
+    gpu_fail = np.zeros(frame.n, dtype=bool)
+    gpu_fail[has_gpu] = factors.gpu_failed[frame.gpu_code[has_gpu]]
+    needs_scalar = frame.emb_needs_scalar | (
+        frame.cpu_resolved & factors.cpu_failed[cpu_idx]) | (
+        frame.emb_covered & gpu_fail)
+    array_ok = frame.emb_covered & ~needs_scalar
+    mem_idx = np.where(frame.mem_code >= 0, frame.mem_code,
+                       len(frame.memory_types))
+
+    cpu_kg = frame.n_cpus * factors.cpu_pkg_kg[cpu_idx]
+    gpu_kg = np.zeros(frame.n)
+    gpu_kg[has_gpu] = frame.n_gpus[has_gpu] * \
+        factors.gpu_dev_kg[frame.gpu_code[has_gpu]]
+    mem_kg = frame.memory_gb * factors.mem_kg_per_gb[mem_idx]
+    ssd_kg = frame.ssd_gb * factors.ssd_kg_per_gb
+    node_kg = frame.n_nodes * factors.node_kg
+    total_kg = (((cpu_kg + gpu_kg) + mem_kg) + ssd_kg) + node_kg
     values = np.full(frame.n, np.nan)
     values[array_ok] = total_kg[array_ok] / units.KG_PER_MT
 
@@ -1078,6 +1069,24 @@ def _embodied_batch_impl(frame: FleetFrame,
         covered=array_ok, scalar_idx=scalar_idx,
         scalar_estimates=scalar_estimates, factors=factors,
     )
+
+
+def _embodied_sweep(frame: FleetFrame, models: Sequence[EmbodiedModel],
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The embodied model over ``(n_scenarios, n_systems)`` cells.
+
+    An ``EmbodiedModel`` *is* its (catalog, fab_yield) pair, so
+    scenarios sharing that key share one :func:`embodied_batch` row,
+    scalar fallback and all.
+    """
+    obs.inc("kernel.cells", len(models) * frame.n)
+    rows, cat_map = _dedupe(models,
+                            lambda m: (id(m.catalog), m.fab_yield),
+                            lambda m: _embodied_batch_impl(frame, m))
+    values = np.stack([row.values_mt for row in rows])[cat_map]
+    unc = np.stack([row.uncertainty_frac for row in rows])[cat_map]
+    unc[np.isnan(values)] = np.nan
+    return values, unc
 
 
 def batch_embodied_mt(records: list[SystemRecord],
@@ -1309,52 +1318,3 @@ def _materialize_embodied(frame: FleetFrame, emb: EmbodiedBatch,
         assumptions=tuple(assumptions),
         uncertainty_frac=min(0.25 + 0.03 * len(assumptions), 2.0),
     )
-
-
-@dataclass(frozen=True)
-class FleetBatch:
-    """Value/uncertainty arrays of one fleet evaluation (nan = uncovered).
-
-    The array-only product of assessing a fleet under both models —
-    what totals, coverage counts and Monte-Carlo bands are computed
-    from without materializing a single estimate object.  Fields are
-    ``None`` for a footprint that was not evaluated.
-    """
-
-    op_mt: np.ndarray | None
-    op_unc: np.ndarray | None
-    emb_mt: np.ndarray | None
-    emb_unc: np.ndarray | None
-
-
-def fleet_batch_arrays(records: Sequence[SystemRecord],
-                       operational_model: OperationalModel | None = None,
-                       embodied_model: EmbodiedModel | None = None, *,
-                       frame: FleetFrame | None = None) -> FleetBatch:
-    """Both footprints' value/uncertainty arrays for one fleet.
-
-    The portfolio-scale assessment entry point: one call evaluates
-    operational and embodied models over the fleet and returns plain
-    arrays (nan = uncovered) — what :func:`repro.fleets.assess_fleet`
-    and :func:`repro.fleets.assess_portfolio` build reports from.
-    Always in-process: at every recorded fleet size the serial kernels
-    beat a process fan-out (``docs/performance.md``).
-    """
-    op_model = operational_model or OperationalModel()
-    emb_model = embodied_model or EmbodiedModel()
-    records = list(records)
-    if frame is None:
-        frame = fleet_frame(records)
-    if frame.n != len(records):
-        raise ValueError("frame/records length mismatch")
-    opb = operational_batch(frame, op_model)
-    emb = embodied_batch(frame, emb_model)
-    return FleetBatch(op_mt=opb.values_mt, op_unc=opb.uncertainty_frac,
-                      emb_mt=emb.values_mt, emb_unc=emb.uncertainty_frac)
-
-
-def fleet_total_mt(records: list[SystemRecord],
-                   model: OperationalModel | None = None) -> float:
-    """Total operational carbon over covered records, MT CO2e."""
-    values = batch_operational_mt(records, model)
-    return float(np.nansum(values))

@@ -102,8 +102,8 @@ class ServeError(ReproError):
 class DeadlineExceededError(ServeError):
     """A request (or the band kernel under it) ran out of its budget.
 
-    Raised by :func:`repro.parallel.resilience.check_deadline` once a
-    :func:`~repro.parallel.resilience.deadline_scope` budget is spent —
+    Raised by :func:`repro.deadline.check_deadline` once a
+    :func:`~repro.deadline.deadline_scope` budget is spent —
     between the requests of a serve batch and before every window of
     the Monte-Carlo band kernel — and by the serving layer when a
     queued request's deadline passes before or during its batch.

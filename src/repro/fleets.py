@@ -26,7 +26,7 @@ from repro.core.equivalences import Equivalence, equivalences
 from repro.core.estimate import SystemAssessment
 from repro.core.record import SystemRecord
 from repro.core.uncertainty import UncertaintyBand, total_with_uncertainty_arrays
-from repro.core.vectorized import FleetBatch, fleet_batch_arrays, fleet_frame
+from repro.core.vectorized import embodied_batch, fleet_frame, operational_batch
 from repro.hardware.memory import MemoryType
 
 
@@ -108,16 +108,11 @@ def assess_fleet(fleet: Fleet, easyc: EasyC | None = None,
     """Assess a named fleet: coverage, totals, uncertainty, equivalences.
 
     Runs both models over the fleet's cached
-    :class:`~repro.core.vectorized.FleetFrame` as batch arrays
-    (:func:`~repro.core.vectorized.fleet_batch_arrays`); assessments
-    stay lazy on the report.
+    :class:`~repro.core.vectorized.FleetFrame` as batch arrays;
+    assessments stay lazy on the report.
     """
-    ez = easyc or EasyC()
-    batch = fleet_batch_arrays(list(fleet.systems), ez.operational_model,
-                               ez.embodied_model)
-    return _report_from_arrays(fleet.name, fleet.systems, ez,
-                               batch.op_mt, batch.op_unc,
-                               batch.emb_mt, batch.emb_unc, mc_samples)
+    return assess_portfolio((fleet,), easyc,
+                            mc_samples=mc_samples).reports[0]
 
 
 @dataclass(frozen=True)
@@ -169,16 +164,17 @@ def assess_portfolio(fleets: Iterable[Fleet], easyc: EasyC | None = None, *,
     ez = easyc or EasyC()
     all_records = [record for fleet in fleets for record in fleet.systems]
     frame = fleet_frame(all_records)
-    batch = fleet_batch_arrays(all_records, ez.operational_model,
-                               ez.embodied_model, frame=frame)
+    op = operational_batch(frame, ez.operational_model)
+    emb = embodied_batch(frame, ez.embodied_model)
     reports = []
     offset = 0
     for fleet in fleets:
         stop = offset + len(fleet.systems)
         sl = slice(offset, stop)
         reports.append(_report_from_arrays(
-            fleet.name, fleet.systems, ez, batch.op_mt[sl], batch.op_unc[sl],
-            batch.emb_mt[sl], batch.emb_unc[sl], mc_samples))
+            fleet.name, fleet.systems, ez,
+            op.values_mt[sl], op.uncertainty_frac[sl],
+            emb.values_mt[sl], emb.uncertainty_frac[sl], mc_samples))
         offset = stop
     return PortfolioReport(reports=tuple(reports))
 

@@ -40,6 +40,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.errors import ParseError
 from repro.grid.intensity import GridIntensityDB
 
 #: Minutes per day — series lengths must tile whole days.
@@ -201,24 +202,37 @@ def read_ci_csv(source, *, value_column: str | int | None = None,
         value_column: header name or 0-based index of the intensity
             column; default auto-detects from the header.
         units: ``"g"`` (gCO2e/kWh, divided by 1000) or ``"kg"``.
+
+    Raises:
+        ParseError: the content is not a usable series — not UTF-8
+            text, fewer than two data rows, a short row, an unreadable
+            timestamp, a negative or non-finite value, an irregular
+            interval, or a series that does not tile whole days.  The
+            message names the file and, where one is at fault, the row.
+        ValueError: a bad ``units`` or ``value_column`` argument.
+        OSError: the file cannot be opened.
     """
     if units not in ("g", "kg"):
         raise ValueError(f"units must be 'g' or 'kg', got {units!r}")
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    else:
-        rows = list(csv.reader(source))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    name = str(source) if isinstance(source, (str, Path)) else "CI CSV"
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, newline="", encoding="utf-8") as fh:
+                rows = _numbered_rows(fh)
+        else:
+            rows = _numbered_rows(source)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{name}: not a CSV text file ({exc})") from None
     if len(rows) < 3:
-        raise ValueError("CI CSV needs a header and at least two data rows")
+        raise ParseError(f"{name}: needs a header and at least two data "
+                         f"rows, got {max(len(rows) - 1, 0)}")
 
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     if value_column is None:
         index = None
-        for name in _VALUE_COLUMNS:
-            if name in header:
-                index = header.index(name)
+        for column in _VALUE_COLUMNS:
+            if column in header:
+                index = header.index(column)
                 break
         if index is None:
             index = 1 if len(header) > 1 else 0
@@ -232,25 +246,54 @@ def read_ci_csv(source, *, value_column: str | int | None = None,
         index = header.index(wanted)
 
     stamps, values = [], []
-    for row in rows[1:]:
-        stamps.append(_parse_timestamp(row[0]))
-        values.append(float(row[index]))
+    for line, row in rows[1:]:
+        where = f"{name}, row {line}"
+        if len(row) <= max(index, 0):
+            raise ParseError(f"{where}: {len(row)} column(s), the value "
+                             f"is in column {index + 1}")
+        try:
+            stamp = _parse_timestamp(row[0])
+        except ValueError:
+            raise ParseError(f"{where}: bad timestamp {row[0]!r}") from None
+        if stamps and (stamp.tzinfo is None) != (stamps[0].tzinfo is None):
+            raise ParseError(f"{where}: mixes timestamps with and without "
+                             "a UTC offset")
+        try:
+            value = float(row[index])
+        except ValueError:
+            raise ParseError(f"{where}: bad value {row[index]!r}") from None
+        if not math.isfinite(value) or value < 0:
+            raise ParseError(f"{where}: value {row[index].strip()!r} is "
+                             "not a finite non-negative number")
+        stamps.append(stamp)
+        values.append(value)
 
     step = (stamps[1] - stamps[0]).total_seconds() / 60.0
     if step <= 0 or step != int(step):
-        raise ValueError(f"non-positive or fractional step: {step} minutes")
+        raise ParseError(f"{name}, row {rows[2][0]}: non-positive or "
+                         f"fractional step: {step} minutes")
     step = int(step)
     for i in range(1, len(stamps)):
         got = (stamps[i] - stamps[i - 1]).total_seconds() / 60.0
         if got != step:
-            raise ValueError(
-                f"irregular interval at row {i + 1}: {got}min != {step}min")
+            raise ParseError(f"{name}, row {rows[i + 1][0]}: irregular "
+                             f"interval: {got}min != {step}min")
 
     if units == "g":
         values = [v / 1000.0 for v in values]
     start = stamps[0].hour * 60 + stamps[0].minute
-    return IntensitySeries(values=tuple(values), step_minutes=step,
-                           start_minute=start)
+    try:
+        return IntensitySeries(values=tuple(values), step_minutes=step,
+                               start_minute=start)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{name}: {exc}") from None
+
+
+def _numbered_rows(lines) -> list[tuple[int, list[str]]]:
+    """Non-blank CSV rows with the line number each ends on."""
+    reader = csv.reader(lines)
+    return [(reader.line_num, row) for row in reader
+            if row and any(cell.strip() for cell in row)]
 
 
 # ---------------------------------------------------------------------------

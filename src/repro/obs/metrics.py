@@ -65,12 +65,15 @@ def reset_metrics() -> None:
 
 
 def reset_warnings() -> None:
-    """Re-arm the library's warn-once registry (test hook).
+    """Re-arm the library's warn-once registries (test hook).
 
-    The fault-plan parser warns once per malformed entry, so a spec
-    consulted on every request does not spam.  Suites that assert the
-    warning fires call this instead of reaching into the private set.
+    The fault-plan parser warns once per malformed entry and the trace
+    sink once per unwritable path, so a spec consulted on every request
+    or a span emitted per kernel call does not spam.  Suites that
+    assert a warning fires call this.
     """
-    from repro.parallel import faults
+    from repro.obs import tracing
+    from repro.serve import faults
 
-    faults._WARNED.clear()
+    faults.reset_warnings()
+    tracing.reset_warnings()

@@ -21,7 +21,8 @@ Sinks, each receiving every span when it closes:
 
 * every active in-memory :class:`Trace` opened by :func:`capture`;
 * the JSON-lines file named by ``REPRO_TRACE`` (append, one line per
-  span, flushed — concurrent processes interleave whole lines).
+  span, flushed — concurrent processes interleave whole lines).  A path
+  that cannot be written warns once on stderr and drops its spans.
 
 Span records are self-describing dicts (see :data:`SPAN_FIELDS`);
 ``python -m repro.obs <path>`` validates an emitted JSONL file against
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -76,6 +78,9 @@ _SEQ_LOCK = threading.Lock()
 _SEQ = 0
 
 _FILE_LOCK = threading.Lock()
+
+#: Trace paths whose write failed (each warned about once).
+_UNWRITABLE: set[str] = set()
 
 
 class Trace:
@@ -188,17 +193,28 @@ def _emit(record: dict[str, Any]) -> None:
 
 def _write_line(path: str, record: dict[str, Any]) -> None:
     line = json.dumps(record, separators=(",", ":"), default=str) + "\n"
-    try:
-        with _FILE_LOCK, open(path, "a", encoding="utf-8") as fh:
-            # One write per record: POSIX append mode keeps concurrent
-            # writers' lines whole, so multi-process traces stay valid
-            # JSONL without cross-process locking.
-            fh.write(line)
-            fh.flush()
-    except OSError:
-        # Telemetry must never take down an assessment: an unwritable
-        # trace path silently drops records (the run is unaffected).
-        pass
+    with _FILE_LOCK:
+        try:
+            with open(path, "a", encoding="utf-8") as fh:
+                # One write per record: POSIX append mode keeps
+                # concurrent writers' lines whole, so multi-process
+                # traces stay valid JSONL without cross-process locking.
+                fh.write(line)
+                fh.flush()
+        except OSError as exc:
+            # Telemetry must never take down an assessment: an
+            # unwritable trace path drops its records (the run is
+            # unaffected), and says so once per path on stderr.
+            if path not in _UNWRITABLE:
+                _UNWRITABLE.add(path)
+                print(f"repro: cannot write {TRACE_ENV}={path!r} "
+                      f"({exc.strerror or exc}); spans are not recorded",
+                      file=sys.stderr)
+
+
+def reset_warnings() -> None:
+    """Warn again about trace paths already reported (test hook)."""
+    _UNWRITABLE.clear()
 
 
 @contextmanager

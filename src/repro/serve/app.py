@@ -66,7 +66,7 @@ from typing import Any
 
 from repro import obs
 from repro.errors import ServeError
-from repro.parallel import faults
+from repro.serve import faults
 from repro.serve.admission import AdmissionQueue
 from repro.serve.batcher import (
     BatchEntry,
@@ -439,10 +439,8 @@ class AssessmentServer:
     def _readyz(self) -> dict[str, Any]:
         ready = not self.draining and self.breaker.state != "open"
         # The daemon's own L2 (the one ``__init__`` built, if any),
-        # never the doctor's environment fallback.
-        report = doctor_report(cache_dir=self.config.cache_dir or None,
-                               cache_max_bytes=self.config.cache_l2_bytes,
-                               env_fallback=False)
+        # from its running counts: a probe never lists the directory.
+        report = doctor_report(daemon_l2=self.cache.l2)
         report["serve"] = self._healthz()
         report["serve"]["admission"] = self.admission.stats()
         report["ready"] = ready

@@ -14,7 +14,7 @@ gotten.  The chaos suite asserts exactly that, under every CI fault
 spec.
 
 Deadline semantics: a batch runs under one
-:func:`~repro.parallel.resilience.deadline_scope` sized to the
+:func:`~repro.deadline.deadline_scope` sized to the
 *tightest* member's remaining budget.  When the scope expires
 mid-batch, members whose own deadlines have passed are failed with
 :class:`~repro.errors.DeadlineExceededError` and the survivors are
@@ -37,8 +37,8 @@ import numpy as np
 
 from repro import obs
 from repro.errors import DeadlineExceededError, ReproError
-from repro.parallel import faults
-from repro.parallel.resilience import check_deadline, deadline_scope
+from repro.serve import faults
+from repro.deadline import check_deadline, deadline_scope
 from repro.serve.cache import canonical_digest
 
 __all__ = ["RequestError", "ParsedRequest", "BatchEntry", "Batcher",

@@ -27,7 +27,7 @@ from collections import OrderedDict
 from typing import Any
 
 from repro import obs
-from repro.parallel import faults
+from repro.serve import faults
 
 __all__ = ["ResultCache", "canonical_digest"]
 

@@ -27,12 +27,13 @@ readers see either a complete old file, a complete new file, or
 nothing.  Eviction is mtime-LRU under a byte budget — reads freshen
 mtime, and an eviction racing a read at worst costs a recompute.
 
-A write does not list the directory: each writer keeps a running byte
-tally (one scan at its first write, then ``len(blob)`` per put) and
-scans only when the tally crosses the high-water mark, ``max_bytes``
-plus ``1/_HIGH_WATER_DIVISOR`` of it.  A writer sees other writers'
-bytes only at its own scans, so several daemons sharing a directory
-can overshoot the mark by what the others wrote since.
+Neither a write nor a health probe lists the directory: each writer
+keeps a running byte tally and entry count (one scan when it is built,
+then ``len(blob)`` and one entry per put) and scans again only when the
+tally crosses the high-water mark, ``max_bytes`` plus
+``1/_HIGH_WATER_DIVISOR`` of it.  A writer sees other writers' bytes
+only at its own scans, so several daemons sharing a directory can
+overshoot the mark by what the others wrote since.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def _checked_key(key: str) -> str:
 class DiskCacheL2:
     """File-backed shared result cache: one checksummed file per key.
 
-    ``max_bytes`` bounds the *payload* directory size.  Puts add their
-    size to a running tally; once it passes the high-water mark a put
-    scans the directory (``serve.cache_l2_scans``) and evicts
+    ``max_bytes`` bounds the *payload* directory size.  Building the
+    cache scans the directory once for its byte tally and entry count;
+    puts add to both, and once the tally passes the high-water mark a
+    put scans again (every scan counts ``serve.cache_l2_scans``) and evicts
     least-recently-used entries (by mtime — refreshed on every hit)
     until the budget holds again (``serve.cache_l2_evictions``).  One
     writer's directory so never exceeds ``max_bytes * 9/8`` plus the
@@ -94,10 +96,13 @@ class DiskCacheL2:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
         self._high_water = max_bytes + max_bytes // _HIGH_WATER_DIVISOR
-        #: Bytes this writer believes the directory holds; ``None``
-        #: until the first put scans.  Re-puts of a key count twice,
-        #: which only brings the next scan sooner.
-        self._tally: "int | None" = None
+        #: Bytes and entries this writer believes the directory holds:
+        #: exact after each scan.  A re-put of a present key counts
+        #: twice until the next scan, which only brings that scan
+        #: sooner.
+        self._tally = 0
+        self._entries = 0
+        self._rescan()
 
     def _path(self, key: str) -> Path:
         return self.directory / (_checked_key(key) + _ENTRY_SUFFIX)
@@ -124,7 +129,9 @@ class DiskCacheL2:
             try:
                 path.unlink()
             except OSError:
-                pass
+                return None
+            self._tally -= len(blob)
+            self._entries -= 1
             return None
         try:
             # Freshen mtime: hits move an entry to the young end of
@@ -160,18 +167,24 @@ class DiskCacheL2:
                 pass
             return
         obs.inc("serve.cache_l2_puts")
-        if self._tally is not None and \
-                self._tally + len(blob) <= self._high_water:
+        self._entries += 1
+        if self._tally + len(blob) <= self._high_water:
             self._tally += len(blob)
         else:
             self._evict_over_budget()
 
-    def _evict_over_budget(self) -> None:
-        """Scan, then unlink oldest-mtime entries until the byte budget
-        holds; the tally becomes the directory's remaining total."""
+    def _rescan(self) -> list[tuple[Path, int, float]]:
+        """List the directory; the tally and count become its truth."""
         obs.inc("serve.cache_l2_scans")
         entries = self._scan()
         self._tally = sum(size for _, size, _ in entries)
+        self._entries = len(entries)
+        return entries
+
+    def _evict_over_budget(self) -> None:
+        """Scan, then unlink oldest-mtime entries until the byte budget
+        holds; the tally becomes the directory's remaining total."""
+        entries = self._rescan()
         if self._tally <= self.max_bytes:
             return
         for path, size, _ in sorted(entries, key=lambda e: e[2]):
@@ -181,34 +194,20 @@ class DiskCacheL2:
                 continue
             obs.inc("serve.cache_l2_evictions")
             self._tally -= size
+            self._entries -= 1
             if self._tally <= self.max_bytes:
                 return
 
     def _scan(self) -> list[tuple[Path, int, float]]:
-        """Every complete entry as ``(path, size, mtime)``."""
-        entries = []
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return []
-        for name in names:
-            if not name.endswith(_ENTRY_SUFFIX):
-                continue
-            path = self.directory / name
-            try:
-                stat = path.stat()
-            except OSError:
-                continue        # raced an eviction/replace
-            entries.append((path, stat.st_size, stat.st_mtime))
-        return entries
+        return _scan_entries(self.directory)
 
     def stats(self) -> dict[str, Any]:
-        """Entry count and byte usage (the doctor/readyz section)."""
-        entries = self._scan()
+        """Entry count and byte usage from the running counts (the
+        ``/readyz`` section): no directory listing, whatever its size."""
         return {
             "directory": str(self.directory),
-            "entries": len(entries),
-            "bytes": int(sum(size for _, size, _ in entries)),
+            "entries": self._entries,
+            "bytes": self._tally,
             "max_bytes": int(self.max_bytes),
         }
 
@@ -219,29 +218,44 @@ class DiskCacheL2:
             except OSError:
                 pass
         self._tally = 0
+        self._entries = 0
+
+
+def _scan_entries(directory: Path) -> list[tuple[Path, int, float]]:
+    """Every complete entry as ``(path, size, mtime)``."""
+    entries = []
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    for name in names:
+        if not name.endswith(_ENTRY_SUFFIX):
+            continue
+        path = directory / name
+        try:
+            stat = path.stat()
+        except OSError:
+            continue        # raced an eviction/replace
+        entries.append((path, stat.st_size, stat.st_mtime))
+    return entries
 
 
 def l2_stats(directory: "str | os.PathLike | None",
              max_bytes: "int | None" = None) -> dict[str, Any]:
     """The L2 stats dict for a directory that may not exist (doctor).
 
-    Never creates the directory — ``repro doctor`` probing a
+    Lists the directory (``repro doctor`` reads a cache no process of
+    its own keeps counts for), and never creates it — probing a
     configured-but-unused cache dir must not leave one behind.
     """
     if directory is None:
         return {"directory": None, "entries": 0, "bytes": 0,
                 "max_bytes": 0}
     path = Path(directory)
-    if not path.is_dir():
-        return {"directory": str(path), "entries": 0, "bytes": 0,
-                "max_bytes": int(max_bytes or 0)}
-    cache = DiskCacheL2.__new__(DiskCacheL2)
-    cache.directory = path
-    cache.max_bytes = int(max_bytes or 0) or (64 << 20)
-    stats = cache.stats()
-    if max_bytes is None:
-        stats["max_bytes"] = 0
-    return stats
+    entries = _scan_entries(path) if path.is_dir() else []
+    return {"directory": str(path), "entries": len(entries),
+            "bytes": sum(size for _, size, _ in entries),
+            "max_bytes": int(max_bytes or 0)}
 
 
 class TieredResultCache:

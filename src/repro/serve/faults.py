@@ -137,6 +137,11 @@ class FaultPlan:
 _WARNED: set[tuple[str, str]] = set()
 
 
+def reset_warnings() -> None:
+    """Warn again about entries already reported (test hook)."""
+    _WARNED.clear()
+
+
 def _warn_once(spec: str, entry: str, problem: str) -> None:
     key = (spec, entry)
     if key not in _WARNED:

@@ -24,10 +24,12 @@ Building the report has no side effects: ``/readyz`` may poll it every
 few seconds.
 
 The ``cache_tier`` section describes the shared L2 result cache
-(``docs/serving.md``): the daemon reports its own L2 (not configured
-when it runs without ``--cache-dir``); the CLI resolves
-``--cache-dir`` or ``REPRO_SERVE_CACHE_DIR`` so an operator inspecting
-a host sees the same facts the daemon reports.
+(``docs/serving.md``): the daemon reports its own L2 from the counts
+that L2 keeps (not configured when it runs without ``--cache-dir``), so
+a probe costs the same over any directory size; the CLI resolves
+``--cache-dir`` or ``REPRO_SERVE_CACHE_DIR`` and lists that directory,
+so an operator inspecting a host sees the same facts the daemon
+reports.
 
 This module also renders the counter registry in Prometheus text
 exposition format (:func:`render_prometheus`) for the ``/metrics``
@@ -37,9 +39,12 @@ endpoint's ``?format=prometheus`` / ``Accept: text/plain`` path.
 from __future__ import annotations
 
 import os
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro import __version__, obs
+
+if TYPE_CHECKING:
+    from repro.serve.cachetier import DiskCacheL2
 
 __all__ = ["SCHEMA_VERSION", "CACHE_DIR_ENV", "PROMETHEUS_CONTENT_TYPE",
            "doctor_report", "render_doctor_table", "render_prometheus"]
@@ -54,16 +59,17 @@ SCHEMA_VERSION = 2
 
 def doctor_report(*, cache_dir: "str | None" = None,
                   cache_max_bytes: "int | None" = None,
-                  env_fallback: bool = True) -> dict[str, Any]:
+                  daemon_l2: "DiskCacheL2 | None | bool" = False,
+                  ) -> dict[str, Any]:
     """The health report as one plain-data dict.
 
     Everything in it is JSON-serializable (asserted in tests), so the
     same object feeds ``repro doctor --json``, the human table, and
-    the daemon's health endpoints.  ``env_fallback=False`` (the
-    daemon) reports ``cache_dir=None`` as no L2 instead of reading
-    ``REPRO_SERVE_CACHE_DIR``.
+    the daemon's health endpoints.  The daemon passes its own L2 as
+    ``daemon_l2`` (``None`` when it has none), which reports that
+    cache's running counts and never reads ``REPRO_SERVE_CACHE_DIR``.
     """
-    from repro.parallel import faults as faults_mod
+    from repro.serve import faults as faults_mod
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -71,23 +77,27 @@ def doctor_report(*, cache_dir: "str | None" = None,
         "faults": {
             "active_rules": len(faults_mod.active_plan().rules),
         },
-        "cache_tier": _cache_tier_section(cache_dir=cache_dir,
-                                          cache_max_bytes=cache_max_bytes,
-                                          env_fallback=env_fallback),
+        "cache_tier": _cache_tier_section(cache_dir, cache_max_bytes,
+                                          daemon_l2),
         "counters": {name: value for name, value
                      in obs.metrics_snapshot().items()},
     }
 
 
-def _cache_tier_section(*, cache_dir: "str | None",
+def _cache_tier_section(cache_dir: "str | None",
                         cache_max_bytes: "int | None",
-                        env_fallback: bool) -> dict[str, Any]:
+                        daemon_l2: "DiskCacheL2 | None | bool",
+                        ) -> dict[str, Any]:
     """The shared-L2 view: directory, usage, and lifetime counters."""
     from repro.serve.cachetier import l2_stats
 
-    if cache_dir is None and env_fallback:
-        cache_dir = os.environ.get(CACHE_DIR_ENV) or None
-    stats = l2_stats(cache_dir, cache_max_bytes)
+    if daemon_l2 is False:
+        stats = l2_stats(cache_dir or os.environ.get(CACHE_DIR_ENV) or None,
+                         cache_max_bytes)
+    elif daemon_l2 is None:
+        stats = l2_stats(None)
+    else:
+        stats = daemon_l2.stats()
     return {
         "l2_dir": stats["directory"],
         "l2_entries": int(stats["entries"]),

@@ -59,7 +59,7 @@ from repro.core.uncertainty import (
     DEFAULT_MC_SEED,
     UncertaintyBand,
 )
-from repro.parallel.resilience import check_deadline
+from repro.deadline import check_deadline
 
 __all__ = [
     "BandStack",
@@ -349,6 +349,34 @@ def _stats_for_block(values2d: np.ndarray, unc2d: np.ndarray,
 # Thread fan-out
 # ---------------------------------------------------------------------------
 
+def _chunk_indices(n: int, n_chunks: int) -> list[tuple[int, int]]:
+    """Half-open ``(start, stop)`` ranges covering ``range(n)`` in at most
+    ``n_chunks`` contiguous, balanced blocks.
+
+    Sizes differ by at most one (the first ``n % n_chunks`` blocks get
+    the extra item), order is kept, and no block is empty: with
+    ``n < n_chunks`` only ``n`` ranges return.
+
+    Raises:
+        ValueError: for negative ``n`` or non-positive ``n_chunks``.
+    """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if n_chunks <= 0:
+        raise ValueError(f"n_chunks must be positive, got {n_chunks}")
+    n_chunks = min(n_chunks, n)
+    if n_chunks == 0:
+        return []
+    base, extra = divmod(n, n_chunks)
+    ranges = []
+    start = 0
+    for i in range(n_chunks):
+        size = base + (1 if i < extra else 0)
+        ranges.append((start, start + size))
+        start += size
+    return ranges
+
+
 def _stats_threads(values2d: np.ndarray, unc2d: np.ndarray, n_samples: int,
                    seed: int, counts: np.ndarray,
                    max_workers: int | None) -> np.ndarray:
@@ -365,11 +393,9 @@ def _stats_threads(values2d: np.ndarray, unc2d: np.ndarray, n_samples: int,
     import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.parallel.chunking import chunk_indices
-
     stats = np.empty((values2d.shape[0], 5))
-    blocks = chunk_indices(values2d.shape[0],
-                           max_workers or os.cpu_count() or 1)
+    blocks = _chunk_indices(values2d.shape[0],
+                            max_workers or os.cpu_count() or 1)
     obs.inc("fanout.blocks_dispatched", len(blocks))
     with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
         futures = [pool.submit(contextvars.copy_context().run,
@@ -496,7 +522,7 @@ def mc_band_stack(values, unc, *, n_samples: int = DEFAULT_MC_SAMPLES,
         ValueError: on shape mismatch, non-positive samples, an
             unknown method, or a cell with no covered system.
         repro.errors.DeadlineExceededError: when an enclosing
-            :func:`~repro.parallel.resilience.deadline_scope` runs out
+            :func:`~repro.deadline.deadline_scope` runs out
             (checked before every stream window, on every method).
     """
     if method not in _METHODS:

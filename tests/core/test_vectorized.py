@@ -13,8 +13,6 @@ from repro.core.vectorized import (
     clear_frame_cache,
     embodied_batch,
     fleet_frame,
-    fleet_to_arrays,
-    fleet_total_mt,
     operational_batch,
 )
 from repro.errors import InsufficientDataError, UnknownDeviceError
@@ -53,7 +51,8 @@ class TestEquivalence:
     def test_total_matches_scalar_sum(self, dataset):
         records = dataset.public_records()
         model = OperationalModel()
-        assert fleet_total_mt(records, model) == pytest.approx(
+        total = float(np.nansum(batch_operational_mt(records, model)))
+        assert total == pytest.approx(
             float(np.nansum(scalar_reference(records, model))))
 
     def test_custom_model_semantics_propagate(self, dataset):
@@ -68,26 +67,25 @@ class TestEquivalence:
 class TestArrays:
     def test_extraction_shapes(self, dataset):
         records = dataset.baseline_records()
-        cols = fleet_to_arrays(records)
-        assert cols.n == 500
-        assert cols.power_kw.shape == (500,)
+        frame = fleet_frame(records)
+        assert frame.n == 500
+        assert frame.power_kw.shape == (500,)
         # Power is hidden for some systems: nan there.
-        assert np.isnan(cols.power_kw).sum() > 0
+        assert np.isnan(frame.power_kw).sum() > 0
 
     def test_reuse_of_extracted_arrays(self, dataset):
         records = dataset.public_records()
         model = OperationalModel()
-        cols = fleet_to_arrays(records, model.grid)
-        a = batch_operational_mt(records, model, arrays=cols)
+        frame = FleetFrame.from_records(records)
+        a = batch_operational_mt(records, model, frame=frame)
         b = batch_operational_mt(records, model)
-        both_nan = np.isnan(a) & np.isnan(b)
-        assert np.all(both_nan | np.isclose(a, b))
+        assert np.array_equal(a, b, equal_nan=True)
 
     def test_length_mismatch_rejected(self, dataset):
         records = dataset.public_records()
-        cols = fleet_to_arrays(records[:10])
+        frame = FleetFrame.from_records(records[:10])
         with pytest.raises(ValueError):
-            batch_operational_mt(records, arrays=cols)
+            batch_operational_mt(records, frame=frame)
 
 
 class TestFleetFrame:
@@ -265,11 +263,11 @@ class TestSpeed:
         import time
         records = dataset.public_records()
         model = OperationalModel()
-        cols = fleet_to_arrays(records, model.grid)
+        frame = fleet_frame(records)
 
         start = time.perf_counter()
         for _ in range(10):
-            batch_operational_mt(records, model, arrays=cols)
+            batch_operational_mt(records, model, frame=frame)
         batch_time = time.perf_counter() - start
 
         start = time.perf_counter()

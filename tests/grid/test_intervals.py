@@ -16,6 +16,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ParseError
+
 from repro.grid.intensity import (
     COUNTRY_ACI,
     DEFAULT_GRID_DB,
@@ -171,12 +173,99 @@ class TestReadCiCsv:
     def test_irregular_interval_raises(self):
         rows = self.lines()
         rows[3] = rows[3].replace("T02:00:00", "T02:17:00")
-        with pytest.raises(ValueError, match="irregular"):
+        with pytest.raises(ParseError, match="irregular"):
             read_ci_csv(rows)
 
     def test_unknown_column_raises(self):
         with pytest.raises(ValueError, match="not in header"):
             read_ci_csv(self.lines(), value_column="nope")
+
+
+class TestReadCiCsvErrors:
+    """Malformed content is one ParseError naming the file and, where
+    one row is at fault, that row — never a traceback from csv,
+    datetime or float, and never a nan series."""
+
+    lines = staticmethod(TestReadCiCsv.lines)
+
+    def _write(self, tmp_path, content):
+        path = tmp_path / "ci.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text("\n".join(content) + "\n", encoding="utf-8")
+        return path
+
+    def test_header_only(self, tmp_path):
+        path = self._write(tmp_path, [TestReadCiCsv.HEADER])
+        with pytest.raises(ParseError, match="at least two data rows") as err:
+            read_ci_csv(path)
+        assert str(path) in str(err.value)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = self._write(tmp_path, b"timestamp,actual\n\xff\xfe\x00\x81")
+        with pytest.raises(ParseError, match="not a CSV text file") as err:
+            read_ci_csv(path)
+        assert str(path) in str(err.value)
+
+    def test_short_row(self, tmp_path):
+        rows = self.lines()
+        rows[5] = rows[5].split(",")[0]
+        with pytest.raises(ParseError, match="row 6"):
+            read_ci_csv(self._write(tmp_path, rows))
+
+    def test_bad_timestamp(self, tmp_path):
+        rows = self.lines()
+        rows[2] = "yesterday" + rows[2][rows[2].index(","):]
+        with pytest.raises(ParseError, match="row 3: bad timestamp"):
+            read_ci_csv(self._write(tmp_path, rows))
+
+    def test_irregular_interval_names_the_row(self, tmp_path):
+        rows = self.lines()
+        rows[3] = rows[3].replace("T02:00:00", "T02:17:00")
+        with pytest.raises(ParseError, match="row 4: irregular"):
+            read_ci_csv(self._write(tmp_path, rows))
+
+    @pytest.mark.parametrize("bad", ["-5.0", "nan", "inf", "-inf", "x"])
+    def test_negative_or_non_finite_value(self, tmp_path, bad):
+        rows = self.lines()
+        rows[7] = rows[7].split(",")[0] + f",{bad},1.0"
+        with pytest.raises(ParseError, match="row 8") as err:
+            read_ci_csv(self._write(tmp_path, rows))
+        assert str(tmp_path) in str(err.value)
+
+    def test_partial_day(self, tmp_path):
+        with pytest.raises(ParseError, match="whole days"):
+            read_ci_csv(self._write(tmp_path, self.lines(hours=23)))
+
+    def test_mixed_utc_offsets(self, tmp_path):
+        rows = self.lines()
+        rows[2] = rows[2].replace(",", "+00:00,", 1)
+        with pytest.raises(ParseError, match="row 3"):
+            read_ci_csv(self._write(tmp_path, rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=400),
+        st.lists(st.text(alphabet="0123456789-:T.,+ naifZx\"\n\r",
+                         max_size=40),
+                 max_size=30).map(lambda rows: "\n".join(rows).encode()),
+        st.lists(st.sampled_from(["2025-01-01T00:00:00", "2025-01-01T01:00",
+                                  "250", "-1", "nan", "1e400", "", "x"]),
+                 max_size=80).map(
+            lambda cells: ("timestamp,actual\n" + "\n".join(
+                ",".join(cells[i:i + 2]) for i in range(0, len(cells), 2))
+            ).encode())))
+    def test_fuzz_is_a_series_or_a_parse_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "ci.csv"
+        path.write_bytes(data)
+        try:
+            series = read_ci_csv(path)
+        except ParseError as exc:
+            assert str(path) in str(exc)
+            return
+        assert all(math.isfinite(v) and v >= 0 for v in series.values)
+        assert series.annual_mean > 0
 
 
 class TestAnnualMeanCollapse:

@@ -9,7 +9,7 @@ import pytest
 from repro import obs
 from repro.core.vectorized import clear_frame_cache, fleet_frame
 from repro.data.synth_fleet import synth_fleet
-from repro.parallel import faults
+from repro.serve import faults
 
 
 class TestCounters:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -126,6 +127,37 @@ class TestFileSink:
         monkeypatch.setenv(tracing.TRACE_ENV, str(tmp_path))
         with obs.span("dropped"):
             pass
+
+    def test_unwritable_path_warns_once_on_stderr(self, monkeypatch,
+                                                  tmp_path, capsys):
+        """An unwritable sink says so once per path; the traced work
+        returns what it returns untraced."""
+        from repro.core.vectorized import batch_operational_mt
+        from repro.data import synth_fleet
+
+        records = synth_fleet(20, seed=1)
+        untraced = batch_operational_mt(records)
+        obs.reset_warnings()
+        monkeypatch.setenv(tracing.TRACE_ENV, str(tmp_path))
+        for _ in range(3):
+            traced = batch_operational_mt(records)
+            with obs.span("dropped"):
+                pass
+        assert np.array_equal(traced, untraced, equal_nan=True)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert str(tmp_path) in lines[0] and "REPRO_TRACE" in lines[0]
+
+        other = tmp_path / "missing-dir" / "trace.jsonl"
+        monkeypatch.setenv(tracing.TRACE_ENV, str(other))
+        with obs.span("dropped"):
+            pass
+        assert str(other) in capsys.readouterr().err
+        obs.reset_warnings()
+        monkeypatch.setenv(tracing.TRACE_ENV, str(tmp_path))
+        with obs.span("dropped"):
+            pass
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestSchema:

@@ -24,8 +24,8 @@ import time
 import pytest
 
 from repro import scenarios
-from repro.parallel import faults
-from repro.parallel.faults import FaultPlan, FaultRule
+from repro.serve import faults
+from repro.serve.faults import FaultPlan, FaultRule
 from repro.scenarios import sweep
 from repro.uncertainty import mc
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.parallel.chunking import chunk_indices
+from repro.uncertainty.mc import _chunk_indices as chunk_indices
 
 
 class TestChunkIndices:

@@ -1,6 +1,6 @@
 """Deadline scopes, and what the band fan-out's threads inherit.
 
-A :func:`~repro.parallel.resilience.deadline_scope` and the open span
+A :func:`~repro.deadline.deadline_scope` and the open span
 are both context variables.  Pool threads do not inherit context
 variables on their own, so the thread fan-out submits every block
 through ``contextvars.copy_context().run``; these tests pin that the
@@ -17,7 +17,7 @@ import pytest
 
 from repro import obs
 from repro.errors import DeadlineExceededError
-from repro.parallel.resilience import (
+from repro.deadline import (
     check_deadline,
     deadline_scope,
     scope_remaining_s,

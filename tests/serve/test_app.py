@@ -23,7 +23,7 @@ import pytest
 
 from repro import obs
 from repro.fleets import BUILTIN_FLEETS
-from repro.parallel import faults
+from repro.serve import faults
 from repro.serve import AssessmentServer, ServeConfig
 from repro.serve.batcher import evaluate_group, parse_request
 
@@ -318,6 +318,34 @@ class TestCacheBehavior:
         assert tier["l2_dir"] is None
         assert tier["l2_max_bytes"] == 0
         assert tier["l2_entries"] == 0
+
+    def test_readyz_reads_l2_counts_without_listing(self, tmp_path,
+                                                     monkeypatch):
+        """A readiness probe costs the same over any L2 size: it reads
+        the counts the daemon's L2 keeps and never lists the
+        directory."""
+        import hashlib
+
+        from repro.serve.cachetier import DiskCacheL2
+
+        writer = DiskCacheL2(tmp_path, max_bytes=1 << 30)
+        for i in range(5_000):
+            writer.put(hashlib.sha256(str(i).encode()).hexdigest(), "{}")
+        server = AssessmentServer(ServeConfig(port=0,
+                                              cache_dir=str(tmp_path),
+                                              cache_l2_bytes=1 << 30))
+        scans = []
+        real = server.cache.l2._scan
+        monkeypatch.setattr(server.cache.l2, "_scan",
+                            lambda: scans.append(1) or real())
+        before = obs.get_counter("serve.cache_l2_scans")
+        for _ in range(100):
+            tier = server._readyz()["cache_tier"]
+        assert scans == []
+        assert obs.get_counter("serve.cache_l2_scans") == before
+        assert tier["l2_entries"] == 5_000
+        assert tier["l2_bytes"] == 5_000 * (65 + 2)
+        assert tier["l2_max_bytes"] == 1 << 30
 
     def test_l2_scans_counter_reaches_metrics(self, tmp_path):
         async def scenario(server, get, post):

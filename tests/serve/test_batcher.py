@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import DeadlineExceededError
 from repro.fleets import BUILTIN_FLEETS
-from repro.parallel.resilience import deadline_scope
+from repro.deadline import deadline_scope
 from repro.serve.batcher import (
     ACCEPTANCE_GRID_AXES,
     RequestError,

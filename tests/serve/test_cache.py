@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.parallel import faults
+from repro.serve import faults
 from repro.serve.cache import ResultCache, canonical_digest
 
 

@@ -193,8 +193,8 @@ class TestByteTally:
 
     def test_first_put_of_a_smaller_budget_evicts(self, tmp_path,
                                                   monkeypatch):
-        """A warm restart with a smaller ``--cache-l2-bytes``: building
-        the instance scans nothing; its first put trims the directory."""
+        """A warm restart with a smaller ``--cache-l2-bytes``: its first
+        put trims the directory."""
         big = DiskCacheL2(tmp_path, max_bytes=1 << 20)
         for i in range(20):
             big.put(_key(i), PAYLOAD)
@@ -219,6 +219,27 @@ class TestByteTally:
             cache.put(_key(i), PAYLOAD)
         assert scans == []                  # a stale tally would scan
         assert _dir_bytes(tmp_path) == 4 * _entry_bytes()
+
+
+    def test_stats_follow_puts_evictions_and_poison_without_scans(
+            self, tmp_path, monkeypatch):
+        cache = DiskCacheL2(tmp_path, max_bytes=4 * _entry_bytes())
+        scans = _spy_scans(monkeypatch, cache)
+        for i in range(3):
+            cache.put(_key(i), PAYLOAD)
+        assert cache.stats()["entries"] == 3
+        assert cache.stats()["bytes"] == _dir_bytes(tmp_path)
+        (tmp_path / (_key(0) + ".rc")).write_bytes(b"torn")
+        assert cache.get(_key(0)) is None          # poisoned: unlinked
+        assert cache.stats()["entries"] == 2
+        assert scans == []
+        for i in range(3, 9):                      # past the high water
+            cache.put(_key(i), PAYLOAD)
+        assert scans                               # a put evicted
+        assert cache.stats()["entries"] == len(os.listdir(tmp_path))
+        assert cache.stats()["bytes"] == _dir_bytes(tmp_path)
+        cache.clear()
+        assert cache.stats()["entries"] == cache.stats()["bytes"] == 0
 
 
 _WORKER = """

@@ -111,7 +111,7 @@ class TestDoctorReport:
         assert out.stdout.strip() == "0"
 
     def test_active_fault_rules_counted(self, monkeypatch):
-        from repro.parallel import faults
+        from repro.serve import faults
         monkeypatch.setenv(faults.FAULT_SPEC_ENV,
                            "raise@cache-load, kill@batch=0")
         assert doctor_report()["faults"]["active_rules"] == 2

@@ -341,6 +341,32 @@ class TestShiftCli:
         assert "greenest-4" in out
 
 
+    @pytest.mark.parametrize("content", [
+        b"timestamp,carbon_intensity\n",
+        b"timestamp,carbon_intensity\n" + b"".join(
+            f"2024-01-01T{h:02d}:00,{'nan' if h == 5 else 400}\n".encode()
+            for h in range(24)),
+        b"\xff\xfe\x00garbage",
+    ], ids=["header-only", "nan-value", "binary"])
+    def test_shift_bad_ci_csv_is_one_line_and_exit_2(self, capsys, tmp_path,
+                                                      content):
+        path = tmp_path / "ci.csv"
+        path.write_bytes(content)
+        code = main(["shift", "--fleet", "access-like", "--ci-csv", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro shift: cannot read --ci-csv:")
+        assert str(path) in lines[0]
+
+    def test_shift_missing_ci_csv_is_one_line_and_exit_2(self, capsys,
+                                                         tmp_path):
+        code = main(["shift", "--ci-csv", str(tmp_path / "absent.csv")])
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
 class TestServeCli:
     @pytest.mark.parametrize("flags", [
         ["--port", "70000"],

@@ -16,7 +16,6 @@ import pytest
 
 import repro
 import repro.core
-import repro.parallel
 
 #: Modules a bare ``import repro.cli`` / ``repro --help`` must not load.
 HEAVY = ("numpy", "concurrent.futures", "repro.study")
@@ -48,16 +47,19 @@ def test_cli_cold_path_skips_heavy_modules(code):
 
 def test_scenario_sweep_command_loads_no_parallel_code():
     """The serial kernels are the whole cold path: a CLI sweep must
-    not import the fan-out substrate at all."""
+    not import the fan-out substrate at all — the band fan-out's
+    module and thread pool, the deadline scope, the daemon and its
+    fault points."""
     loaded = _modules_after(
         "import contextlib, io, repro.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    repro.cli.main(['scenarios', '--grid', 'acceptance'])")
     assert "repro.scenarios.sweep" in loaded
-    parallel = sorted(name for name in loaded
-                      if name == "repro.parallel"
-                      or name.startswith("repro.parallel."))
-    assert parallel == []
+    fanout = sorted(name for name in loaded
+                    if name in ("concurrent.futures", "repro.deadline",
+                                "repro.uncertainty.mc", "repro.serve")
+                    or name.startswith("repro.serve."))
+    assert fanout == []
 
 
 #: Where each re-exported name is defined: package -> submodule -> names.
@@ -91,12 +93,6 @@ SOURCES = {
                                   "batch_operational_mt",
                                   "batch_embodied_mt"),
     },
-    "repro.parallel": {
-        "repro.parallel.chunking": ("chunk_indices",),
-        "repro.parallel.faults": ("FaultPlan", "FaultRule", "InjectedFault"),
-        "repro.parallel.resilience": ("check_deadline", "deadline_scope",
-                                      "scope_remaining_s"),
-    },
 }
 
 _CASES = [(package, module, name)
@@ -128,7 +124,7 @@ def test_equivalences_stays_the_function_after_submodule_import():
 
 
 def test_star_import_binds_every_name():
-    for package in (repro, repro.core, repro.parallel):
+    for package in (repro, repro.core):
         namespace: dict = {}
         exec(f"from {package.__name__} import *", namespace)
         assert set(package.__all__) <= set(namespace)
