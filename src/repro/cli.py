@@ -720,18 +720,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
     if config.cache_dir is not None:
-        # The L2 tier creates its directory; doing so here, before the
-        # event loop starts, turns a path that cannot be one into a
-        # usage error instead of a traceback.
-        from repro.serve.cachetier import DiskCacheL2
+        # Creating the directory here, before the event loop starts,
+        # turns a path that cannot be one into a usage error.  The
+        # daemon builds (and lists) its one L2 tier itself.
+        from pathlib import Path
+
+        from repro.serve.app import unusable_cache_dir
 
         try:
-            DiskCacheL2(config.cache_dir, max_bytes=config.cache_l2_bytes)
+            Path(config.cache_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            print(f"repro serve: --cache-dir {config.cache_dir!r} is not "
-                  f"a usable directory: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
+            return unusable_cache_dir(config, exc)
     return serve(config)
 
 

@@ -16,14 +16,28 @@ block).  Note that spans running concurrently (the band fan-out's
 thread blocks) each accrue their own wall time, so cum totals can
 legitimately exceed the parent process's elapsed time —
 the table reports per-span sums, the coverage line compares *root*
-spans only against wall clock.
+spans only against wall clock.  Coverage is not attribution: a root
+span's self time is covered but explained by no child span, so the
+line under it splits coverage into time attributed to child spans and
+unattributed root self time.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["summarize", "root_total_s", "span_coverage", "render_table"]
+__all__ = ["summarize", "root_total_s", "root_self_s", "span_coverage",
+           "render_table"]
+
+
+def _child_time(records: list[dict[str, Any]]) -> dict[str, float]:
+    """Summed duration of each span's direct children, by span id."""
+    child_time: dict[str, float] = {}
+    for rec in records:
+        parent = rec.get("parent_id")
+        if parent is not None:
+            child_time[parent] = child_time.get(parent, 0.0) + rec["dur_s"]
+    return child_time
 
 
 def summarize(records: list[dict[str, Any]]) -> dict[str, dict[str, float]]:
@@ -33,11 +47,7 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, dict[str, float]]:
     ``parent_id``), so a grandchild's time is debited from its own
     parent, not from the grandparent.
     """
-    child_time: dict[str, float] = {}
-    for rec in records:
-        parent = rec.get("parent_id")
-        if parent is not None:
-            child_time[parent] = child_time.get(parent, 0.0) + rec["dur_s"]
+    child_time = _child_time(records)
     stats: dict[str, dict[str, float]] = {}
     for rec in records:
         entry = stats.setdefault(rec["name"],
@@ -52,6 +62,18 @@ def summarize(records: list[dict[str, Any]]) -> dict[str, dict[str, float]]:
 def root_total_s(records: list[dict[str, Any]]) -> float:
     """Total duration of root spans (no parent) — the covered wall time."""
     return sum(r["dur_s"] for r in records if r.get("parent_id") is None)
+
+
+def root_self_s(records: list[dict[str, Any]]) -> float:
+    """Self time of root spans: covered wall time no child span explains.
+
+    A root span's self time is time the run spent inside the command
+    but outside every instrumented region; the profile reports it as
+    unattributed, beside the coverage that includes it.
+    """
+    child_time = _child_time(records)
+    return sum(max(r["dur_s"] - child_time.get(r["span_id"], 0.0), 0.0)
+               for r in records if r.get("parent_id") is None)
 
 
 def span_coverage(records: list[dict[str, Any]], wall_s: float) -> float:
@@ -84,6 +106,11 @@ def render_table(records: list[dict[str, Any]],
                  f"{total_self:>9.4f}")
     if wall_s is not None and wall_s > 0:
         coverage = span_coverage(records, wall_s)
+        unattributed = root_self_s(records) / wall_s
         lines.append(f"span coverage: {100.0 * coverage:.1f}% of "
                      f"{wall_s:.3f}s wall time")
+        lines.append(f"attributed to child spans: "
+                     f"{100.0 * (coverage - unattributed):.1f}%; "
+                     f"unattributed (root self time): "
+                     f"{100.0 * unattributed:.1f}%")
     return "\n".join(lines)

@@ -20,9 +20,10 @@ constraints, in order:
 Sinks, each receiving every span when it closes:
 
 * every active in-memory :class:`Trace` opened by :func:`capture`;
-* the JSON-lines file named by ``REPRO_TRACE`` (append, one line per
-  span, flushed — concurrent processes interleave whole lines).  A path
-  that cannot be written warns once on stderr and drops its spans.
+* the JSON-lines file named by ``REPRO_TRACE`` (one append handle per
+  path, one write and one flush per span — concurrent processes
+  interleave whole lines).  A path that cannot be written warns once
+  on stderr and drops its spans.
 
 Span records are self-describing dicts (see :data:`SPAN_FIELDS`);
 ``python -m repro.obs <path>`` validates an emitted JSONL file against
@@ -31,6 +32,7 @@ that schema.  ``docs/observability.md`` documents the span taxonomy.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import sys
@@ -78,6 +80,21 @@ _SEQ_LOCK = threading.Lock()
 _SEQ = 0
 
 _FILE_LOCK = threading.Lock()
+
+#: One append handle per trace path, opened by its first span and
+#: kept for the process (guarded by ``_FILE_LOCK``; closed at exit).
+#: A trace file replaced while the process runs is not followed.
+_HANDLES: dict[str, Any] = {}
+
+
+def _close_handles() -> None:
+    with _FILE_LOCK:
+        for fh in _HANDLES.values():
+            fh.close()
+        _HANDLES.clear()
+
+
+atexit.register(_close_handles)
 
 #: Trace paths whose write failed (each warned about once).
 _UNWRITABLE: set[str] = set()
@@ -194,17 +211,25 @@ def _emit(record: dict[str, Any]) -> None:
 def _write_line(path: str, record: dict[str, Any]) -> None:
     line = json.dumps(record, separators=(",", ":"), default=str) + "\n"
     with _FILE_LOCK:
+        fh = _HANDLES.get(path)
         try:
-            with open(path, "a", encoding="utf-8") as fh:
-                # One write per record: POSIX append mode keeps
-                # concurrent writers' lines whole, so multi-process
-                # traces stay valid JSONL without cross-process locking.
-                fh.write(line)
-                fh.flush()
+            if fh is None:
+                fh = _HANDLES[path] = open(path, "a", encoding="utf-8")
+            # One write per record: POSIX append mode keeps
+            # concurrent writers' lines whole, so multi-process
+            # traces stay valid JSONL without cross-process locking.
+            fh.write(line)
+            fh.flush()
         except OSError as exc:
             # Telemetry must never take down an assessment: an
             # unwritable trace path drops its records (the run is
-            # unaffected), and says so once per path on stderr.
+            # unaffected), and says so once per path on stderr.  A
+            # handle that failed is dropped; the next span reopens.
+            if _HANDLES.pop(path, None) is not None:
+                try:
+                    fh.close()
+                except OSError:
+                    pass
             if path not in _UNWRITABLE:
                 _UNWRITABLE.add(path)
                 print(f"repro: cannot write {TRACE_ENV}={path!r} "

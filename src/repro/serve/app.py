@@ -596,8 +596,21 @@ def _render_response(status: int, headers: dict[str, str],
                         content_length=len(body)) + body
 
 
+def unusable_cache_dir(config: ServeConfig, exc: OSError) -> int:
+    """Report a ``--cache-dir`` that cannot be a directory: one stderr
+    line, exit status 2."""
+    print(f"repro serve: --cache-dir {config.cache_dir!r} is not "
+          f"a usable directory: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 async def _serve_async(config: ServeConfig) -> int:
-    server = AssessmentServer(config)
+    try:
+        server = AssessmentServer(config)
+    except OSError as exc:
+        # Building the server builds the L2 tier, which creates its
+        # directory: a path that cannot be one is a usage error.
+        return unusable_cache_dir(config, exc)
     try:
         await server.start()
     except OSError as exc:

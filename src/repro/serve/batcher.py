@@ -28,6 +28,7 @@ import asyncio
 import contextvars
 import dataclasses
 import enum
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -318,10 +319,24 @@ def cache_key(parsed: ParsedRequest, fleet_hash: str) -> str:
 
 
 def build_specs(parsed: ParsedRequest) -> tuple:
-    """Lower a parsed request to its scenario specs (canonical order)."""
+    """Lower a parsed request to its scenario specs (canonical order).
+
+    Memoized on the axes and mode: specs are frozen, so every request
+    for the same grid shares one spec tuple instead of composing it
+    again.  The memo keys each value by its bits (``float.hex``),
+    because ``-0.0 == 0.0`` yet the two name different specs.
+    """
+    return _lowered_specs(
+        tuple((name, tuple(map(float.hex, values)))
+              for name, values in parsed.axes),
+        parsed.mode)
+
+
+@functools.lru_cache(maxsize=128)
+def _lowered_specs(axes_bits: tuple, mode: str) -> tuple:
     from repro import scenarios
 
-    if not parsed.axes:
+    if not axes_bits:
         return (scenarios.baseline_spec(),)
     builders = {
         "aci_scale": scenarios.aci_scale_axis,
@@ -330,11 +345,12 @@ def build_specs(parsed: ParsedRequest) -> tuple:
         "lifetime": scenarios.lifetime_axis,
     }
     try:
-        axis_specs = [builders[name](values) for name, values in parsed.axes]
+        axis_specs = [builders[name](tuple(map(float.fromhex, bits)))
+                      for name, bits in axes_bits]
         if len(axis_specs) == 1:
             return tuple(axis_specs[0])
         grid = (scenarios.ScenarioGrid.zipped(*axis_specs)
-                if parsed.mode == "zip"
+                if mode == "zip"
                 else scenarios.ScenarioGrid.cartesian(*axis_specs))
         return grid.specs()
     except ValueError as exc:

@@ -182,6 +182,17 @@ def _cell_counts(values2d: np.ndarray) -> np.ndarray:
 _SLAB_BYTES = 1 << 20
 
 
+#: Cells with fewer covered systems than this are evaluated column by
+#: column.  numpy's pairwise sum adds fewer than 8 entries left to
+#: right, so a row of ``k < 8`` draws sums to exactly what a running
+#: sum over the ``k`` columns gives, and the ``(k, rows)`` layout spends
+#: ``k`` long ufunc passes where the row layout spends ``rows`` inner
+#: loops of length ``k`` (4,000 loops of 3 at a built-in fleet's
+#: default band).  From 8 entries on numpy sums in blocks of eight
+#: partial sums, so wider cells keep the row layout.
+_COLUMN_MAX_K = 8
+
+
 def _slab_rows(n_samples: int, k: int) -> int:
     """Sample rows per slab for a cell with ``k`` covered systems."""
     return max(1, min(n_samples, _SLAB_BYTES // (8 * k)))
@@ -215,19 +226,31 @@ def _cell_rows(v: np.ndarray, sigmas: np.ndarray, z: np.ndarray,
     (both :func:`sample_totals` and the band statistics reduce over
     exactly this).  The rows are evaluated ``rows`` at a time, each
     slab computed in place in ``scratch`` (the same multiply, add, clip
-    and row sum the reference makes, with no temporaries): every sample
+    and sum the reference makes, with no temporaries): every sample
     row is still computed and reduced whole, so each total is
-    bit-identical to the one-shot ``(n_samples, k)`` evaluation.
+    bit-identical to the one-shot ``(n_samples, k)`` evaluation.  A
+    cell narrower than :data:`_COLUMN_MAX_K` lays its slab out as
+    ``(k, rows)`` and sums down the columns, which adds each row's
+    entries in the same left-to-right order numpy's row sum does.
     """
     k = v.size
     n = out.size
+    columns = k < _COLUMN_MAX_K
+    if columns:
+        v = v[:, None]
+        sigmas = sigmas[:, None]
     for a in range(0, n, rows):
         b = min(a + rows, n)
-        buf = scratch[:(b - a) * k].reshape(b - a, k)
-        np.multiply(sigmas, z[a * k:b * k].reshape(b - a, k), out=buf)
+        zs = z[a * k:b * k].reshape(b - a, k)
+        if columns:
+            buf = scratch[:(b - a) * k].reshape(k, b - a)
+            zs = zs.T
+        else:
+            buf = scratch[:(b - a) * k].reshape(b - a, k)
+        np.multiply(sigmas, zs, out=buf)
         np.add(v, buf, out=buf)
         np.clip(buf, 0.0, None, out=buf)
-        np.sum(buf, axis=1, out=out[a:b])
+        np.sum(buf, axis=0 if columns else 1, out=out[a:b])
 
 
 def _walk_stream(values2d: np.ndarray, unc2d: np.ndarray, n_samples: int,
@@ -325,19 +348,68 @@ def sample_totals(values, unc, n_samples: int = DEFAULT_MC_SAMPLES,
     return totals.reshape(cell_shape + (n_samples,))
 
 
+#: The band percentiles as fractions, exactly as :func:`np.percentile`
+#: turns ``[5, 50, 95]`` into quantiles.
+_BAND_QUANTILES = np.true_divide([5.0, 50.0, 95.0], 100)
+
+
+def _linear_rule(n: int, quantiles: np.ndarray = _BAND_QUANTILES,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """numpy's ``linear`` percentile rule for ``n`` sorted samples.
+
+    The virtual index ``(n-1)·q`` gives each quantile's lower and upper
+    neighbour (both the last sample at or past ``n-1``) and its weight,
+    in numpy's own float-op sequence; the last array says which side
+    of numpy's two-sided interpolation each quantile takes.  It depends
+    only on ``n``, so a block computes it once for all its cells.
+    """
+    virtual = (n - 1) * quantiles
+    lower = np.floor(virtual)
+    upper = lower + 1
+    past_end = virtual >= n - 1
+    lower[past_end] = -1
+    upper[past_end] = -1
+    gamma = virtual - lower
+    return lower.astype(np.intp), upper.astype(np.intp), gamma, gamma >= 0.5
+
+
+def _sorted_percentiles(ordered: np.ndarray, rule) -> np.ndarray:
+    """``np.percentile`` of a sorted sample under a :func:`_linear_rule`.
+
+    The same interpolation ``np.percentile`` makes after its partition
+    (``a + (b-a)·t``, or ``b - (b-a)·(1-t)`` from ``t = 0.5`` on), so
+    the result is bit-identical; a sample holding a NaN (sorted last)
+    gives NaN everywhere, as numpy's does.
+    """
+    lower, upper, gamma, from_upper = rule
+    a = ordered[lower]
+    b = ordered[upper]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=from_upper)
+    if np.isnan(ordered[-1]):
+        out[:] = ordered[-1]
+    return out
+
+
 def _stats_for_block(values2d: np.ndarray, unc2d: np.ndarray,
                      n_samples: int, seed: int, counts: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
     """Band statistics for a block into ``out``: ``(C, 5)``
     mean/std/p5/p50/p95.
 
-    The same :func:`np.percentile` / ``mean`` / ``std`` calls the
-    reference makes over the same :func:`_cell_rows` draws, so the
-    statistics are bit-identical too.
+    ``mean`` and ``std`` reduce the draw-order totals, as the reference
+    does; the totals are then sorted in place and the percentiles read
+    with :func:`_sorted_percentiles`, which matches the reference's
+    :func:`np.percentile` bit for bit without its per-call set-up.
     """
+    rule = _linear_rule(n_samples)
+
     def reduce(c: int, totals: np.ndarray) -> None:
-        p5, p50, p95 = np.percentile(totals, [5.0, 50.0, 95.0])
-        out[c] = (totals.mean(), totals.std(), p5, p50, p95)
+        out[c, 0] = totals.mean()
+        out[c, 1] = totals.std()
+        totals.sort()
+        out[c, 2:] = _sorted_percentiles(totals, rule)
 
     with obs.span("mc.stats", n_cells=int(values2d.shape[0]),
                   n_samples=n_samples):

@@ -86,6 +86,20 @@ class TestRenderTable:
         assert "span coverage: 90.0% of 10.000s wall time" in text
 
 
+    def test_root_self_time_is_reported_as_unattributed(self):
+        """Coverage counts a root span's self time; the line under it
+        says how much of the wall time child spans explain."""
+        records = [
+            _rec("child", "1-2", 0.1, parent_id="1-1"),
+            _rec("root", "1-1", 1.0),
+        ]
+        assert obs.root_self_s(records) == pytest.approx(0.9)
+        text = obs.render_table(records, wall_s=1.0)
+        assert "span coverage: 100.0% of 1.000s wall time" in text
+        assert "attributed to child spans: 10.0%; " \
+            "unattributed (root self time): 90.0%" in text
+
+
 class TestProfileCommand:
     def test_profile_wraps_a_subcommand(self, capsys):
         code = cli.main(["profile", "--", "fleet", "access-like"])

@@ -121,6 +121,46 @@ class TestFileSink:
         assert json.loads(path.read_text().splitlines()[0])["name"] \
             == "both.sinks"
 
+    def test_one_handle_per_path_for_many_spans(self, monkeypatch,
+                                                tmp_path):
+        """The sink opens a path once and then appends one flushed line
+        per span, from any thread."""
+        import builtins
+        import threading
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return builtins.open(*args, **kwargs)
+
+        path = tmp_path / "many.jsonl"
+        monkeypatch.setattr(tracing, "open", counting_open, raising=False)
+        monkeypatch.setenv(tracing.TRACE_ENV, str(path))
+
+        def emit(n):
+            for i in range(n):
+                with obs.span("many", i=i):
+                    pass
+
+        threads = [threading.Thread(target=emit, args=(100,))
+                   for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            emit(100)
+            for thread in threads:
+                thread.join()
+        finally:
+            tracing._HANDLES.pop(str(path)).close()
+        assert opened == [str(path)]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 500
+        assert all(obs.validate_record(json.loads(line)) == []
+                   for line in lines)
+        assert sorted(json.loads(line)["attrs"]["i"] for line in lines) \
+            == sorted(list(range(100)) * 5)
+
     def test_unwritable_path_never_raises(self, monkeypatch, tmp_path):
         # Telemetry must not take down the assessment: a directory is
         # unopenable for append, the span silently drops.

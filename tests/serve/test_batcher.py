@@ -83,6 +83,28 @@ class TestParseValidation:
         assert len(build_specs(parsed)) == 64
         assert dict(parsed.axes) == ACCEPTANCE_GRID_AXES
 
+    def test_specs_are_memoized_per_grid(self):
+        """Equal grids share one spec tuple, whatever the fleet or kind;
+        mode and the sign of a zero still tell grids apart."""
+        grid = build_specs(parse("sweep", {"fleet": "doe-like",
+                                           "grid": "acceptance"}))
+        assert build_specs(parse("bands", {"fleet": "access-like",
+                                           "grid": "acceptance",
+                                           "seed": 9})) is grid
+        axes = {"pue": [1.0, 1.2], "utilization": [0.5, 0.8]}
+        cartesian = build_specs(parse("sweep", {"fleet": "doe-like",
+                                                "axes": axes}))
+        zipped = build_specs(parse("sweep", {"fleet": "doe-like",
+                                             "axes": axes, "mode": "zip"}))
+        assert (len(cartesian), len(zipped)) == (4, 2)
+        names = [build_specs(parse("sweep", {"fleet": "doe-like",
+                                             "axes": {"pue": [zero]}}))[0].name
+                 for zero in (0.0, -0.0, 0.0)]
+        assert names == ["pue=0", "pue=-0", "pue=0"]
+        with pytest.raises(RequestError, match="must be positive"):
+            build_specs(parse("sweep", {"fleet": "doe-like",
+                                        "axes": {"lifetime": [-1.0]}}))
+
     def test_inline_systems_validated(self):
         with pytest.raises(RequestError, match="unknown field"):
             parse("assess", {"systems": [{"warp_factor": 9}]})

@@ -2,15 +2,16 @@
 
 This mirrors the CI serve-smoke job: start ``python -m repro serve``
 as a subprocess, wait for readiness, run one assess and one
-64-scenario sweep (cache hit on repeat) and repeat one inline-systems
-sweep (answered from the raw-body memo and the cache the second time),
-then SIGTERM it and require a clean drain — exit code 0, with the drain
-line on stdout.  The
-keep-alive variant drives the daemon with a persistent-connection
-client, asserting connection reuse never changes a byte.  The L2-budget
-variant churns a disk cache of a few KiB with distinct sweeps: it must
-evict, scan the directory less often than it writes, drain cleanly and
-leave at most the budget plus its high-water slack and one entry.
+64-scenario sweep (cache hit on repeat), check one acceptance-grid
+bands request band by band against the per-fleet reference draw, and
+repeat one inline-systems sweep (answered from the raw-body memo and
+the cache the second time), then SIGTERM it and require a clean drain
+— exit code 0, with the drain line on stdout.  The keep-alive variant
+drives the daemon with a persistent-connection client, asserting
+connection reuse never changes a byte.  The L2-budget variant churns
+a disk cache of a few KiB with distinct sweeps: it must evict, scan
+the directory less often than it writes, drain cleanly and leave at
+most the budget plus its high-water slack and one entry.
 """
 
 from __future__ import annotations
@@ -55,6 +56,34 @@ def _wait_ready(port):
         time.sleep(0.1)
 
 
+def _check_bands(port, body):
+    """``/v1/bands`` over a built-in fleet: every scenario's band is the
+    frozen per-fleet reference draw over that scenario's sweep row."""
+    from repro.fleets import BUILTIN_FLEETS
+    from repro.scenarios import sweep
+    from repro.serve.batcher import build_specs, parse_request
+    from repro.uncertainty.mc import band_scalar_reference
+
+    status, _, payload = _request(port, "/v1/bands", body)
+    assert status == 200
+    answer = json.loads(payload)
+    parsed = parse_request("bands", body, default_deadline_s=30.0,
+                           max_deadline_s=60.0)
+    cube = sweep(list(BUILTIN_FLEETS[body["fleet"]].systems),
+                 build_specs(parsed))
+    values = cube.values(parsed.footprint)
+    unc = cube.uncertainty(parsed.footprint)
+    assert [row["name"] for row in answer["scenarios"]] \
+        == [spec.name for spec in cube.specs]
+    for i, row in enumerate(answer["scenarios"]):
+        ref = band_scalar_reference(values[i], unc[i],
+                                    n_samples=parsed.n_samples,
+                                    seed=parsed.seed)
+        assert row["band"] == {"mean_mt": ref.mean_mt,
+                               "std_mt": ref.std_mt, "p5_mt": ref.p5_mt,
+                               "p50_mt": ref.p50_mt, "p95_mt": ref.p95_mt}
+
+
 @pytest.mark.timeout(60)
 def test_serve_smoke_sigterm_drains_to_exit_zero():
     env = dict(os.environ)
@@ -93,6 +122,9 @@ def test_serve_smoke_sigterm_drains_to_exit_zero():
                                      "grid": "acceptance"})
         assert status == 200
         assert json.loads(sweep)["n_scenarios"] == 64
+
+        _check_bands(port, {"fleet": "doe-like", "grid": "acceptance",
+                            "seed": 17})
 
         inline = {"systems": [
             {"rank": i + 1, "name": f"s{i}", "country": "Germany",

@@ -410,6 +410,50 @@ class TestServeCli:
         assert captured.err.startswith("repro serve: --cache-dir ")
         assert captured.err.count("\n") == 1
 
+    def test_boot_lists_a_filled_cache_dir_once(self, tmp_path,
+                                                 monkeypatch):
+        """``repro serve --cache-dir`` builds one L2 tier: the daemon's,
+        which lists the directory once for its byte tally."""
+        import hashlib
+
+        from repro import obs
+        from repro.serve import AssessmentServer
+        from repro.serve.cachetier import DiskCacheL2
+
+        writer = DiskCacheL2(tmp_path, max_bytes=1 << 30)
+        for i in range(50):
+            writer.put(hashlib.sha256(str(i).encode()).hexdigest(), "{}")
+        booted = []
+
+        def boot(config):
+            before = obs.get_counter("serve.cache_l2_scans")
+            booted.append(AssessmentServer(config))
+            booted.append(obs.get_counter("serve.cache_l2_scans") - before)
+            return 0
+
+        before = obs.get_counter("serve.cache_l2_scans")
+        monkeypatch.setattr("repro.serve.serve", boot)
+        assert main(["serve", "--port", "0", "--cache-dir",
+                     str(tmp_path)]) == 0
+        server, boot_scans = booted
+        assert boot_scans == 1
+        assert obs.get_counter("serve.cache_l2_scans") - before == 1
+        assert server.cache.l2.stats()["entries"] == 50
+
+    def test_unusable_cache_dir_from_the_library_is_one_line(
+            self, tmp_path, capsys):
+        """``serve(config)`` called directly reports a ``cache_dir``
+        that cannot be a directory like the CLI does."""
+        from repro.serve import ServeConfig, serve
+
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        assert serve(ServeConfig(port=0, cache_dir=str(blocker))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro serve: --cache-dir ")
+        assert captured.err.count("\n") == 1
+
     def test_port_in_use_is_one_line_and_exit_2(self, capsys):
         blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:

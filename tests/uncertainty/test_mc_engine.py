@@ -192,6 +192,41 @@ class TestCubeBitIdentity:
             assert (band.mean_mt, band.p5_mt, band.p50_mt, band.p95_mt) \
                 == (mean, p5, p50, p95)
 
+    #: sha256 of the doe-like acceptance-grid operational and embodied
+    #: band stacks (default samples and seed), recorded before the
+    #: narrow-cell column layout and the sort-based percentiles.
+    DOE_LIKE_GOLDEN = {
+        "operational":
+            "e2a15911a3435d8bd116b80f6447035cb755119dadf9c205d09b833760a63d9d",
+        "embodied":
+            "56aa3689616899b791541565a8d47da4bfe2c4f042db939a2623b2cd99f600ef",
+    }
+
+    @pytest.mark.parametrize("footprint", sorted(DOE_LIKE_GOLDEN))
+    def test_doe_like_acceptance_grid_golden_digest(self, footprint):
+        """The stack ``/v1/bands`` draws for a built-in fleet (three
+        covered systems per cell), pinned to the byte."""
+        import hashlib
+
+        from repro import scenarios
+        from repro.fleets import BUILTIN_FLEETS
+        from repro.serve.batcher import ACCEPTANCE_GRID_AXES as axes
+
+        grid = scenarios.ScenarioGrid.cartesian(
+            scenarios.aci_scale_axis(axes["aci_scale"]),
+            scenarios.pue_axis(axes["pue"]),
+            scenarios.utilization_axis(axes["utilization"]))
+        cube = scenarios.sweep(list(BUILTIN_FLEETS["doe-like"].systems),
+                               grid.specs())
+        stack = mc_band_stack(cube.values(footprint),
+                              cube.uncertainty(footprint), method="serial")
+        assert stack.shape == (64,) and set(stack.n_estimates) == {3}
+        digest = hashlib.sha256()
+        for name in ("mean_mt", "std_mt", "p5_mt", "p50_mt", "p95_mt"):
+            digest.update(getattr(stack, name).astype("<f8").tobytes())
+        digest.update(stack.n_estimates.astype("<i8").tobytes())
+        assert digest.hexdigest() == self.DOE_LIKE_GOLDEN[footprint]
+
     def test_projection_band_table_matches_per_cell_loop(self, study):
         from repro import scenarios
         cube = study.project_sweep(
@@ -325,6 +360,95 @@ class TestSlabLoop:
             band = stack.band(c)
             assert (band.mean_mt, band.p5_mt, band.p50_mt, band.p95_mt) \
                 == legacy_stats(values[c], unc[c], SLAB_SAMPLES, 3)
+
+
+def bits(x):
+    """The int64 view of float data: ``array_equal`` treats -0.0 as 0.0,
+    this does not."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def narrow_stack(k, seed=41):
+    """Three cells of twelve systems with exactly ``k`` covered each;
+    cell 1 covers a zero estimate (zero sigma), cell 2 a zero
+    uncertainty."""
+    values, unc = random_stack(seed, 3, 12, nan_frac=0.0)
+    rng = np.random.default_rng(seed)
+    for c in range(3):
+        holes = rng.permutation(12)[k:]
+        values[c, holes] = np.nan
+        unc[c, holes] = np.nan
+    covered = np.flatnonzero(~np.isnan(values[1]))
+    values[1, covered[0]] = 0.0
+    unc[2, np.flatnonzero(~np.isnan(values[2]))[-1]] = 0.0
+    return values, unc
+
+
+class TestNarrowCells:
+    """Cells on both sides of the column-layout threshold
+    (``mc._COLUMN_MAX_K``), in one window and in many small ones, match
+    the one-shot reference draw to the bit."""
+
+    @pytest.fixture(params=["single-window", "multi-window"])
+    def window(self, request, monkeypatch):
+        if request.param == "multi-window":
+            monkeypatch.setattr(mc, "_SLAB_BYTES", 8 * 20)
+        return request.param
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 97, 4000])
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_totals_and_stats_match_reference(self, k, n_samples, window):
+        values, unc = narrow_stack(k)
+        totals = sample_totals(values, unc, n_samples=n_samples, seed=5)
+        stack = mc_band_stack(values, unc, n_samples=n_samples, seed=5,
+                              method="serial")
+        if window == "multi-window" and n_samples > 2:
+            assert mc._window_len(n_samples, k) < n_samples * k
+        for c in range(3):
+            ref = legacy_totals(values[c], unc[c], n_samples, 5)
+            assert np.array_equal(bits(totals[c]), bits(ref))
+            expected = [ref.mean(), ref.std(),
+                        *np.percentile(ref, [5.0, 50.0, 95.0])]
+            got = [stack.mean_mt[c], stack.std_mt[c], stack.p5_mt[c],
+                   stack.p50_mt[c], stack.p95_mt[c]]
+            assert np.array_equal(bits(got), bits(expected))
+            assert band_scalar_reference(values[c], unc[c], n_samples,
+                                         5) == stack.band(c)
+
+
+class TestPercentileRule:
+    """The band statistics read percentiles off a sorted sample with
+    numpy's ``linear`` rule; ``np.percentile`` is the oracle."""
+
+    @given(sample=st.lists(
+               st.floats(min_value=0.0, max_value=1e12) | st.sampled_from(
+                   [0.0, 1.0, 2.5, 1e12, float("inf")]),
+               min_size=1, max_size=5000),
+           percents=st.lists(st.floats(min_value=0.0, max_value=100.0),
+                             min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_percentile(self, sample, percents):
+        # Totals are sums of values clipped at +0.0, so they hold no
+        # -0.0 (whose order against 0.0 a sort leaves open); NaN is
+        # covered below.
+        x = np.array(sample)
+        rule = mc._linear_rule(x.size, np.true_divide(percents, 100))
+        with np.errstate(invalid="ignore"):     # inf - inf, as numpy's
+            got = mc._sorted_percentiles(np.sort(x), rule)
+            expected = np.percentile(x, percents)
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 4000, 4001])
+    def test_band_percentiles_with_ties_and_nan(self, n):
+        x = np.round(np.random.default_rng(n).normal(10.0, 3.0, n))
+        rule = mc._linear_rule(n)
+        assert np.array_equal(
+            bits(mc._sorted_percentiles(np.sort(x), rule)),
+            bits(np.percentile(x, [5.0, 50.0, 95.0])))
+        x[n // 2] = np.nan
+        assert np.array_equal(mc._sorted_percentiles(np.sort(x), rule),
+                              np.percentile(x, [5.0, 50.0, 95.0]),
+                              equal_nan=True)
 
 
 class TestKernelAllocation:
