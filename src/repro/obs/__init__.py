@@ -23,7 +23,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     render_table,
-    root_self_s,
     root_total_s,
     span_coverage,
     summarize,
@@ -55,7 +54,6 @@ __all__ = [
     "reset_warnings",
     "summarize",
     "root_total_s",
-    "root_self_s",
     "span_coverage",
     "render_table",
 ]

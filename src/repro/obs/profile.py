@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["summarize", "root_total_s", "root_self_s", "span_coverage",
-           "render_table"]
+__all__ = ["summarize", "root_total_s", "span_coverage", "render_table"]
 
 
 def _child_time(records: list[dict[str, Any]]) -> dict[str, float]:
@@ -64,7 +63,7 @@ def root_total_s(records: list[dict[str, Any]]) -> float:
     return sum(r["dur_s"] for r in records if r.get("parent_id") is None)
 
 
-def root_self_s(records: list[dict[str, Any]]) -> float:
+def _root_self_s(records: list[dict[str, Any]]) -> float:
     """Self time of root spans: covered wall time no child span explains.
 
     A root span's self time is time the run spent inside the command
@@ -106,7 +105,7 @@ def render_table(records: list[dict[str, Any]],
                  f"{total_self:>9.4f}")
     if wall_s is not None and wall_s > 0:
         coverage = span_coverage(records, wall_s)
-        unattributed = root_self_s(records) / wall_s
+        unattributed = _root_self_s(records) / wall_s
         lines.append(f"span coverage: {100.0 * coverage:.1f}% of "
                      f"{wall_s:.3f}s wall time")
         lines.append(f"attributed to child spans: "

@@ -32,7 +32,6 @@ that schema.  ``docs/observability.md`` documents the span taxonomy.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import sys
@@ -82,19 +81,10 @@ _SEQ = 0
 _FILE_LOCK = threading.Lock()
 
 #: One append handle per trace path, opened by its first span and
-#: kept for the process (guarded by ``_FILE_LOCK``; closed at exit).
+#: kept for the process (guarded by ``_FILE_LOCK``).  Every record is
+#: flushed as it is written, so nothing waits in a buffer at exit.
 #: A trace file replaced while the process runs is not followed.
 _HANDLES: dict[str, Any] = {}
-
-
-def _close_handles() -> None:
-    with _FILE_LOCK:
-        for fh in _HANDLES.values():
-            fh.close()
-        _HANDLES.clear()
-
-
-atexit.register(_close_handles)
 
 #: Trace paths whose write failed (each warned about once).
 _UNWRITABLE: set[str] = set()
