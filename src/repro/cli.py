@@ -479,13 +479,29 @@ def _cmd_project_scenarios(args: argparse.Namespace) -> int:
         cube = project_fleet(BUILTIN_FLEETS[args.fleet], specs,
                              years=range(args.base_year, args.end_year + 1))
     else:
-        from repro.study import run_default_study
-        cube = run_default_study().project_sweep(
-            specs, years=range(args.base_year, args.end_year + 1))
+        from repro.projection import project_sweep
+        records, easyc = _default_public_fleet()
+        cube = project_sweep(
+            records, specs, years=range(args.base_year, args.end_year + 1),
+            operational_model=easyc.operational_model,
+            embodied_model=easyc.embodied_model)
     print(figure10_cube(cube, args.footprint, bands=args.bands,
                         n_samples=_mc_samples(args),
                         band_kind=args.band_kind or "quantile"))
     return 0
+
+
+def _default_public_fleet():
+    """``(records, easyc)`` the study commands sweep by default.
+
+    The default list's Baseline+PublicInfo records and the default
+    models: what ``run_default_study()`` holds as ``public_records``
+    and ``easyc``, without importing the study (its enrichment and
+    coverage passes are never printed by these commands).
+    """
+    from repro.core.easyc import EasyC
+    from repro.data.top500 import default_dataset
+    return default_dataset().public_records(), EasyC()
 
 
 def _mc_samples(args: argparse.Namespace) -> int:
@@ -568,9 +584,11 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         subject = f"fleet {args.fleet}"
         cube = sweep_fleet(BUILTIN_FLEETS[args.fleet], grid)
     else:
-        from repro.study import run_default_study
+        records, easyc = _default_public_fleet()
         subject = "Top500 study (+public info)"
-        cube = run_default_study().scenario_sweep(grid)
+        cube = scenarios.sweep(records, grid,
+                               operational_model=easyc.operational_model,
+                               embodied_model=easyc.embodied_model)
 
     if args.save:
         cube.save_npz(args.save)
@@ -657,14 +675,12 @@ def cmd_shift(args: argparse.Namespace) -> int:
                                      specs, windows=windows,
                                      profile=profile)
     else:
-        from repro.study import run_default_study
-        study = run_default_study()
+        records, easyc = _default_public_fleet()
         subject = "Top500 study (+public info)"
         cube = scenarios.shift_sweep(
-            list(study.public_records), specs, windows=windows,
-            profile=profile,
-            operational_model=study.easyc.operational_model,
-            embodied_model=study.easyc.embodied_model)
+            records, specs, windows=windows, profile=profile,
+            operational_model=easyc.operational_model,
+            embodied_model=easyc.embodied_model)
 
     if args.save:
         cube.save_npz(args.save)

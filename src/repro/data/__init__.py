@@ -16,23 +16,21 @@ fleet sizes (deterministic replicate-and-perturb) for the 10⁵-system
 scaling benchmarks.
 """
 
-from repro.data.paper_table import (
-    PaperSystem,
-    ScenarioValues,
-    load_paper_table,
-    coverage_counts,
-    totals_mt,
-)
-from repro.data.top500 import Top500Dataset, generate_top500, default_dataset, DEFAULT_SEED
-from repro.data.truth import TrueSystem, rmax_for_rank, accel_probability
-from repro.data.missingness import MissingnessPlan, build_plan
+from repro._lazy import attach
+
+# ``synth_fleet`` is both a submodule and the function re-exported under
+# the same name; it is bound eagerly for the reason ``repro.core`` binds
+# ``equivalences`` eagerly.  Everything else resolves on first access, so
+# loading the default list never imports the generator (``truth``) or the
+# paper's Table II.
 from repro.data.synth_fleet import synth_fleet
 
-__all__ = [
-    "PaperSystem", "ScenarioValues", "load_paper_table",
-    "coverage_counts", "totals_mt",
-    "Top500Dataset", "generate_top500", "default_dataset", "DEFAULT_SEED",
-    "TrueSystem", "rmax_for_rank", "accel_probability",
-    "MissingnessPlan", "build_plan",
-    "synth_fleet",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "paper_table": ("PaperSystem", "ScenarioValues", "load_paper_table",
+                    "coverage_counts", "totals_mt"),
+    "top500": ("Top500Dataset", "TrueSystem", "generate_top500",
+               "default_dataset", "DEFAULT_SEED"),
+    "truth": ("rmax_for_rank", "accel_probability"),
+    "missingness": ("MissingnessPlan", "build_plan"),
+    "synth_fleet": ("synth_fleet",),
+})

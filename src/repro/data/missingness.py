@@ -48,11 +48,14 @@ Structure of the plan (see DESIGN.md §2 and the derivation in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.record import SystemRecord
-from repro.data.truth import TrueSystem, accel_probability
+
+if TYPE_CHECKING:
+    from repro.data.top500 import TrueSystem
 
 # --- calibration targets (Table I + coverage) -------------------------------
 
@@ -153,6 +156,7 @@ def _pick(rng: np.random.Generator, pool: list[int], k: int,
 
 def choose_accelerated_ranks(rng: np.random.Generator) -> frozenset[int]:
     """Exactly :data:`N_ACCELERATED` ranks, biased to the top of the list."""
+    from repro.data.truth import accel_probability
     scores = {rank: float(rng.uniform()) / accel_probability(rank)
               for rank in range(1, N_SYSTEMS + 1)}
     chosen = sorted(scores, key=scores.get)[:N_ACCELERATED]

@@ -11,6 +11,11 @@ views the paper analyzes are then::
 
 Both are lists of :class:`~repro.core.record.SystemRecord` ready for
 :class:`~repro.core.easyc.EasyC`.
+
+:func:`default_dataset` does not synthesize the default seed's list: it
+decodes the committed snapshot (:mod:`repro.data.snapshot`), which
+``tests/data`` holds equal to ``generate_top500(DEFAULT_SEED)`` bit
+for bit.  Every other seed is synthesized.
 """
 
 from __future__ import annotations
@@ -18,14 +23,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from repro import obs
 from repro.core.record import SystemRecord
-from repro.data.missingness import MissingnessPlan, build_plan
-from repro.data.truth import TrueSystem, generate_true_system
+from repro.data.missingness import MissingnessPlan
+from repro.hardware.memory import MemoryType
 
 #: Default seed: the Nov-2024 list publication date.
 DEFAULT_SEED: int = 20241118
+
+
+@dataclass(slots=True)
+class TrueSystem:
+    """Full physical truth about one synthetic system (no hidden fields)."""
+
+    rank: int
+    name: str
+    country: str
+    region: str | None          # sub-national grid refinement, if any
+    year: int
+    segment: str
+    vendor: str
+    processor: str              # catalog key
+    processor_speed_mhz: float
+    accelerator: str | None     # catalog key; None => CPU-only
+    n_nodes: int
+    n_cpus: int
+    n_gpus: int                 # 0 for CPU-only
+    total_cores: int
+    accelerator_cores: int
+    rmax_tflops: float
+    rpeak_tflops: float
+    nmax: int
+    power_kw: float
+    energy_efficiency: float    # GFlops/W
+    memory_gb: float
+    memory_type: MemoryType
+    ssd_gb: float
+    utilization: float
+    annual_energy_kwh: float
+    interconnect: str
+    os: str
+    cooling: str
+
+    @property
+    def is_accelerated(self) -> bool:
+        return self.accelerator is not None
 
 
 @dataclass(frozen=True)
@@ -101,16 +143,30 @@ class Top500Dataset:
 
 def generate_top500(seed: int = DEFAULT_SEED) -> Top500Dataset:
     """Generate the synthetic list (deterministic for a given seed)."""
-    rng = np.random.default_rng(seed)
-    plan = build_plan(rng)
-    truths = []
-    for rank in range(1, 501):
-        truths.append(generate_true_system(
-            rank, rng, accelerated=rank in plan.accelerated_ranks))
-    return Top500Dataset(truths=tuple(truths), plan=plan, seed=seed)
+    import numpy as np
+
+    from repro.data.missingness import build_plan
+    from repro.data.truth import generate_true_system
+
+    with obs.span("data.generate", seed=seed):
+        rng = np.random.default_rng(seed)
+        plan = build_plan(rng)
+        truths = []
+        for rank in range(1, 501):
+            truths.append(generate_true_system(
+                rank, rng, accelerated=rank in plan.accelerated_ranks))
+        return Top500Dataset(truths=tuple(truths), plan=plan, seed=seed)
 
 
 @lru_cache(maxsize=4)
 def default_dataset(seed: int = DEFAULT_SEED) -> Top500Dataset:
-    """Cached dataset for the default seed (used by examples/benchmarks)."""
+    """Cached dataset for ``seed`` (used by the CLI, examples, benchmarks).
+
+    The default seed's list is read from the committed snapshot; a
+    snapshot that does not match this code raises rather than falling
+    back to synthesis.  Other seeds are generated.
+    """
+    if seed == DEFAULT_SEED:
+        from repro.data import snapshot
+        return snapshot.load()
     return generate_top500(seed)

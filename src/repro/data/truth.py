@@ -1,8 +1,10 @@
 """Ground-truth synthetic systems: what the machines actually are.
 
 The reproduction cannot scrape top500.org, so the *model path* runs on a
-synthetic November-2024-like list.  A :class:`TrueSystem` holds the full
-physical truth about one machine — every field populated (except
+synthetic November-2024-like list.  A :class:`TrueSystem` (defined in
+:mod:`repro.data.top500`, so that loading the committed default list
+never imports this generator) holds the full physical truth about one
+machine — every field populated (except
 accelerator fields on CPU-only systems, which are genuinely absent, not
 hidden).  What any data scenario *sees* is decided later by the
 missingness plan (:mod:`repro.data.missingness`); truth and visibility
@@ -22,12 +24,12 @@ Distributions are calibrated to the real list's public shape:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from typing import TypeVar
 
 import numpy as np
 
+from repro.data.top500 import TrueSystem
 from repro.hardware.cpus import CPU_CATALOG
 from repro.hardware.gpus import GPU_CATALOG
 from repro.hardware.memory import MemoryType
@@ -112,44 +114,6 @@ INTERCONNECTS: tuple[str, ...] = (
     "Slingshot-11", "Infiniband NDR", "Infiniband HDR", "Infiniband EDR",
     "Omni-Path", "25G Ethernet", "Tofu interconnect D", "Aries",
 )
-
-
-@dataclass(slots=True)
-class TrueSystem:
-    """Full physical truth about one synthetic system (no hidden fields)."""
-
-    rank: int
-    name: str
-    country: str
-    region: str | None          # sub-national grid refinement, if any
-    year: int
-    segment: str
-    vendor: str
-    processor: str              # catalog key
-    processor_speed_mhz: float
-    accelerator: str | None     # catalog key; None => CPU-only
-    n_nodes: int
-    n_cpus: int
-    n_gpus: int                 # 0 for CPU-only
-    total_cores: int
-    accelerator_cores: int
-    rmax_tflops: float
-    rpeak_tflops: float
-    nmax: int
-    power_kw: float
-    energy_efficiency: float    # GFlops/W
-    memory_gb: float
-    memory_type: MemoryType
-    ssd_gb: float
-    utilization: float
-    annual_energy_kwh: float
-    interconnect: str
-    os: str
-    cooling: str
-
-    @property
-    def is_accelerated(self) -> bool:
-        return self.accelerator is not None
 
 
 def rmax_for_rank(rank: int) -> float:

@@ -10,18 +10,21 @@ synthetic list via :class:`repro.study.Top500CarbonStudy`.
 
 from __future__ import annotations
 
-from repro.analysis.aggregate import totals_of
-from repro.analysis.sensitivity import compare_scenarios, cube_sensitivity
-from repro.analysis.series import CarbonSeries
+from typing import TYPE_CHECKING
+
 from repro.core.equivalences import equivalences
 from repro.core.metrics import KeyMetric, metric_present
 from repro.core.uncertainty import DEFAULT_MC_SAMPLES
-from repro.coverage.analyzer import missing_items_histogram
-from repro.coverage.rank_ranges import coverage_by_rank_range
-from repro.data.paper_table import load_paper_table
 from repro.reporting.charts import bar_chart, series_summary
 from repro.reporting.tables import render_table
-from repro.study import StudyResult
+
+if TYPE_CHECKING:
+    from repro.analysis.series import CarbonSeries
+    from repro.study import StudyResult
+
+# The analysis, coverage and Table II modules are imported inside the
+# figures that use them: ``repro scenarios``/``shift``/``project``
+# render cubes through this module and must not load the study stack.
 
 #: Total Rmax of the November-2024 list (TFlop/s), used where the
 #: reference path needs performance (the appendix table has none).
@@ -35,6 +38,9 @@ def reference_series(footprint: str, scenario: str) -> CarbonSeries:
         footprint: ``"operational"`` or ``"embodied"``.
         scenario: ``"top500"``, ``"public"`` or ``"interpolated"``.
     """
+    from repro.analysis.series import CarbonSeries
+    from repro.data.paper_table import load_paper_table
+
     values: dict[int, float | None] = {}
     for system in load_paper_table():
         metric = getattr(system, footprint)
@@ -49,6 +55,8 @@ def reference_series(footprint: str, scenario: str) -> CarbonSeries:
 
 def figure2(study: StudyResult) -> str:
     """Missing-data-items histogram over the baseline records."""
+    from repro.coverage.analyzer import missing_items_histogram
+
     hist = missing_items_histogram(list(study.baseline_records))
     labels = [str(k) if k else "None" for k in hist]
     return bar_chart(labels, [float(v) for v in hist.values()],
@@ -91,6 +99,8 @@ def figure4(study: StudyResult) -> str:
 
 def _coverage_range_table(study: StudyResult, footprint: str,
                           title: str) -> str:
+    from repro.coverage.rank_ranges import coverage_by_rank_range
+
     base_cov = getattr(study.baseline_coverage, footprint)
     pub_cov = getattr(study.public_coverage, footprint)
     base_rows = coverage_by_rank_range(base_cov)
@@ -136,6 +146,8 @@ def figure3() -> str:
 
 def figure7() -> str:
     """Total and average carbon: covered sets vs interpolated 500."""
+    from repro.analysis.aggregate import totals_of
+
     rows = []
     for footprint in ("operational", "embodied"):
         covered = reference_series(footprint, "public")
@@ -172,6 +184,9 @@ def figure8() -> str:
 
 def figure9() -> str:
     """Per-system change from adding public information."""
+    from repro.analysis.sensitivity import compare_scenarios
+    from repro.analysis.series import CarbonSeries
+
     parts = []
     for footprint in ("operational", "embodied"):
         baseline = reference_series(footprint, "top500")
@@ -213,6 +228,8 @@ def figure9_cube(cube, scenario, baseline=0,
         baseline: the reference scenario (default: the cube's first).
         footprints: which footprints to tabulate.
     """
+    from repro.analysis.sensitivity import cube_sensitivity
+
     base_name = cube.specs[cube.index(baseline)].name
     scen_name = cube.specs[cube.index(scenario)].name
     rows = []
@@ -436,6 +453,8 @@ def figure11() -> str:
 
 def table2_excerpt(n_rows: int = 15) -> str:
     """Top of the per-system table plus the paper's named contrasts."""
+    from repro.data.paper_table import load_paper_table
+
     rows = []
     for system in load_paper_table()[:n_rows]:
         rows.append((
@@ -475,6 +494,8 @@ def _cell(value: float | None) -> str:
 
 
 def _first_named(name: str):
+    from repro.data.paper_table import load_paper_table
+
     for system in load_paper_table():
         if system.name == name:
             return system

@@ -44,10 +44,10 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis.series import CarbonSeries
 from repro.core.uncertainty import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_MC_SEED,
@@ -56,6 +56,11 @@ from repro.core.uncertainty import (
 )
 from repro.errors import ParseError
 from repro.scenarios.spec import ScenarioSpec, spec_from_dict, spec_to_dict
+
+if TYPE_CHECKING:
+    # Loaded by the series reductions only: sweeping and tabulating a
+    # cube never imports the analysis (and interpolation) stack.
+    from repro.analysis.series import CarbonSeries
 
 __all__ = ["ScenarioCube", "FactorCube", "FOOTPRINTS", "CUBE_FORMAT",
            "CUBE_FORMAT_VERSION"]
@@ -112,6 +117,7 @@ def _read_meta(raw: bytes, kind: str) -> dict:
 
 def _series(footprint: str, label: str, ranks, row) -> CarbonSeries:
     """A rank-indexed series from one value row (None = uncovered)."""
+    from repro.analysis.series import CarbonSeries
     return CarbonSeries(
         footprint="embodied" if footprint.startswith("embodied")
         else footprint,

@@ -252,7 +252,7 @@ def l2_stats(directory: "str | os.PathLike | None",
         return {"directory": None, "entries": 0, "bytes": 0,
                 "max_bytes": 0}
     path = Path(directory)
-    entries = _scan_entries(path) if path.is_dir() else []
+    entries = _scan_entries(path)   # [] unless a listable directory
     return {"directory": str(path), "entries": len(entries),
             "bytes": sum(size for _, size, _ in entries),
             "max_bytes": int(max_bytes or 0)}

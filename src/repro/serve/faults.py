@@ -40,6 +40,7 @@ The plan is re-parsed whenever the environment value changes.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -82,13 +83,21 @@ class FaultRule:
 
 
 def _parse_duration(text: str) -> float:
-    """``"5s"`` / ``"250ms"`` / ``"1.5"`` → seconds."""
+    """``"5s"`` / ``"250ms"`` / ``"1.5"`` → seconds (finite, >= 0).
+
+    A ``nan`` duration would put a never-ordered timer on the daemon's
+    event loop, so non-finite and negative durations are malformed.
+    """
     text = text.strip().lower()
     if text.endswith("ms"):
-        return float(text[:-2]) / 1000.0
-    if text.endswith("s"):
-        return float(text[:-1])
-    return float(text)
+        seconds = float(text[:-2]) / 1000.0
+    elif text.endswith("s"):
+        seconds = float(text[:-1])
+    else:
+        seconds = float(text)
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {text!r}")
+    return seconds
 
 
 def _parse_entry(entry: str) -> FaultRule:

@@ -8,9 +8,10 @@
 4. aggregate totals/averages, sensitivity, coverage by rank range;
 5. derive turnover growth and project 2025-2030.
 
-Every intermediate product is kept on the :class:`StudyResult` so
-figures, benchmarks, and tests can reach in without re-deriving
-anything.
+Every intermediate product is a cached property of the
+:class:`StudyResult`, derived on first read and kept, so figures,
+benchmarks, and tests can reach in without re-deriving anything, and
+a caller that reads only the public records pays for nothing else.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from repro import obs
 from repro.analysis.aggregate import Fig7Row, fig7_rows
 from repro.analysis.sensitivity import SensitivityResult, compare_scenarios
 from repro.analysis.series import CarbonSeries, series_from_coverage
@@ -40,15 +42,55 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Everything the study produced, lazily derived where cheap."""
+    """Everything the study produces, each part derived on first read.
+
+    ``engine`` is the fleet-evaluation path the coverage passes use
+    (see :class:`Top500CarbonStudy`).
+    """
 
     dataset: Top500Dataset
     easyc: EasyC
-    baseline_records: tuple[SystemRecord, ...]
-    public_records: tuple[SystemRecord, ...]
-    baseline_coverage: CoverageResult
-    public_coverage: CoverageResult
-    enrichment_report: EnrichmentReport
+    engine: str = "vectorized"
+
+    # -- records, enrichment, coverage -------------------------------------
+
+    @cached_property
+    def baseline_records(self) -> tuple[SystemRecord, ...]:
+        """The Baseline (top500.org) view: the dataset's memoized records."""
+        return tuple(self.dataset.baseline_records())
+
+    @cached_property
+    def public_records(self) -> tuple[SystemRecord, ...]:
+        """The Baseline+PublicInfo view: the dataset's memoized records.
+
+        Equal, record for record, to what :attr:`enrichment_report`'s
+        pass produces from :attr:`baseline_records`
+        (``tests/test_lazy_study.py`` asserts it), so reading it runs
+        no enrichment.
+        """
+        return tuple(self.dataset.public_records())
+
+    @cached_property
+    def enrichment_report(self) -> EnrichmentReport:
+        """What enriching the baseline through the public-info oracle took."""
+        with obs.span("study.enrich"):
+            pipeline = EnrichmentPipeline(
+                oracle=PublicInfoOracle(dataset=self.dataset))
+            _, report = pipeline.enrich(list(self.baseline_records))
+        return report
+
+    @cached_property
+    def baseline_coverage(self) -> CoverageResult:
+        return self._coverage("baseline")
+
+    @cached_property
+    def public_coverage(self) -> CoverageResult:
+        return self._coverage("public")
+
+    def _coverage(self, scenario: str) -> CoverageResult:
+        with obs.span("study.coverage", scenario=scenario):
+            return coverage_of(self._records(scenario), scenario,
+                               self.easyc, engine=self.engine)
 
     # -- series ---------------------------------------------------------------
 
@@ -193,49 +235,22 @@ class Top500CarbonStudy:
 
     ``engine`` selects the fleet-evaluation path: the columnar
     :class:`~repro.core.vectorized.FleetFrame` engine by default (the
-    hot path for sweep workloads — scenario record views, their
-    frames, and the enrichment pass are all computed once per dataset
-    and reused), or ``"scalar"`` for the reference per-record loop.
+    hot path for sweep workloads — the scenario record views and their
+    frames are computed once per dataset and reused), or ``"scalar"``
+    for the reference per-record loop.
     """
 
     easyc: EasyC = EasyC()
     engine: str = "vectorized"
 
     def run(self, dataset: Top500Dataset | None = None) -> StudyResult:
-        """Execute the full workflow (milliseconds for 500 systems)."""
-        ds = dataset or default_dataset()
-        baseline = ds.baseline_records()
-        public, report = self._enrich(ds, baseline)
-        return StudyResult(
-            dataset=ds,
-            easyc=self.easyc,
-            baseline_records=tuple(baseline),
-            public_records=tuple(public),
-            baseline_coverage=coverage_of(baseline, "baseline", self.easyc,
-                                          engine=self.engine),
-            public_coverage=coverage_of(public, "public", self.easyc,
-                                        engine=self.engine),
-            enrichment_report=report,
-        )
+        """Bind the dataset (default: :func:`default_dataset`) and models.
 
-    @staticmethod
-    def _enrich(ds: Top500Dataset, baseline) -> tuple[list, EnrichmentReport]:
-        """Run (and per-dataset memoize) the enrichment pass.
-
-        Enrichment is deterministic for a dataset, and reusing the
-        enriched record objects lets the engine's frame cache hit
-        across repeated study runs over one dataset.  The memo keys on
-        the identity of the cached baseline records, so a caller
-        passing its own record list still gets a fresh pass.
+        Nothing is computed here: records, enrichment, coverage and
+        every figure input are derived when the result is first read.
         """
-        memo = ds.__dict__.get("_enrich_memo")
-        if memo is not None and len(memo[0]) == len(baseline) and \
-                all(a is b for a, b in zip(memo[0], baseline)):
-            return list(memo[1]), memo[2]
-        pipeline = EnrichmentPipeline(oracle=PublicInfoOracle(dataset=ds))
-        public, report = pipeline.enrich(baseline)
-        ds.__dict__["_enrich_memo"] = (tuple(baseline), tuple(public), report)
-        return public, report
+        return StudyResult(dataset=dataset or default_dataset(),
+                           easyc=self.easyc, engine=self.engine)
 
 
 def run_default_study() -> StudyResult:

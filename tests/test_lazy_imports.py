@@ -62,6 +62,74 @@ def test_scenario_sweep_command_loads_no_parallel_code():
     assert fanout == []
 
 
+#: ``repro.*`` modules every cli-cold command (perfbench's ``cli_cold``)
+#: loads, pinned exactly: a new import on a command's path shows up here.
+_CLI = {"repro", "repro._lazy", "repro._version", "repro.cli", "repro.obs",
+        "repro.obs.metrics", "repro.obs.profile", "repro.obs.tracing"}
+_ENGINE = _CLI | {
+    "repro.core", "repro.core.easyc", "repro.core.embodied",
+    "repro.core.equivalences", "repro.core.estimate", "repro.core.metrics",
+    "repro.core.operational", "repro.core.record", "repro.core.uncertainty",
+    "repro.core.vectorized", "repro.errors", "repro.grid",
+    "repro.grid.intensity", "repro.grid.intervals", "repro.grid.pue",
+    "repro.hardware", "repro.hardware.catalog", "repro.hardware.cpus",
+    "repro.hardware.gpus", "repro.hardware.memory", "repro.hardware.nodes",
+    "repro.hardware.storage", "repro.units"}
+_SWEEP = _ENGINE | {
+    "repro.data", "repro.data.missingness", "repro.data.snapshot",
+    "repro.data.synth_fleet", "repro.data.top500", "repro.reporting",
+    "repro.reporting.charts", "repro.reporting.figures",
+    "repro.reporting.tables", "repro.scenarios", "repro.scenarios.cube",
+    "repro.scenarios.spec", "repro.scenarios.sweep",
+    "repro.scenarios.timeaxis"}
+_PROJECTION = {"repro.projection", "repro.projection.engine",
+               "repro.projection.growth", "repro.projection.perf_carbon",
+               "repro.projection.turnover"}
+COMMAND_MODULES = {
+    "help": (["--help"], _CLI),
+    "fleet": (["fleet", "doe-like"], _ENGINE | {
+        "repro.deadline", "repro.fleets", "repro.uncertainty",
+        "repro.uncertainty.mc"}),
+    "scenarios": (["scenarios", "--grid", "acceptance"], _SWEEP),
+    "project": (["project", "--scenarios", "--op-growth", "0.05,0.103",
+                 "--decarbonize", "0,0.05"], _SWEEP | _PROJECTION),
+    "shift": (["shift"], _SWEEP),
+    "report": (["report"], _SWEEP | _PROJECTION | {
+        "repro.analysis", "repro.analysis.aggregate",
+        "repro.analysis.sensitivity", "repro.analysis.series",
+        "repro.coverage", "repro.coverage.analyzer",
+        "repro.coverage.rank_ranges", "repro.data.paper_table",
+        "repro.data.table2_synth", "repro.enrich", "repro.enrich.pipeline",
+        "repro.enrich.public_info", "repro.ghg", "repro.ghg.inventory",
+        "repro.ghg.protocol", "repro.interpolate", "repro.interpolate.peers",
+        "repro.study"}),
+}
+
+#: What the sweep commands never print, so never import: the study and
+#: its passes, the Top500 generator and numpy's random module.
+STUDY_STACK = ("repro.study", "repro.enrich", "repro.coverage",
+               "repro.data.truth", "numpy.random")
+
+
+def _command_modules(argv: list[str]) -> set[str]:
+    return _modules_after(
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.suppress(SystemExit):\n"
+        f"    repro.cli.main({argv!r})")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_cli_cold_command_module_set(command):
+    argv, expected = COMMAND_MODULES[command]
+    loaded = _command_modules(argv)
+    assert {m for m in loaded if m.split(".")[0] == "repro"} == expected
+    # The default Top500 list comes from its snapshot in every command.
+    assert "repro.data.truth" not in loaded
+    if command in ("scenarios", "project", "shift"):
+        assert not loaded & set(STUDY_STACK), sorted(loaded & set(STUDY_STACK))
+
+
 #: Where each re-exported name is defined: package -> submodule -> names.
 SOURCES = {
     "repro": {
@@ -93,6 +161,17 @@ SOURCES = {
                                   "batch_operational_mt",
                                   "batch_embodied_mt"),
     },
+    "repro.data": {
+        "repro.data.paper_table": ("PaperSystem", "ScenarioValues",
+                                   "load_paper_table", "coverage_counts",
+                                   "totals_mt"),
+        "repro.data.top500": ("Top500Dataset", "TrueSystem",
+                              "generate_top500", "default_dataset",
+                              "DEFAULT_SEED"),
+        "repro.data.truth": ("rmax_for_rank", "accel_probability"),
+        "repro.data.missingness": ("MissingnessPlan", "build_plan"),
+        "repro.data.synth_fleet": ("synth_fleet",),
+    },
 }
 
 _CASES = [(package, module, name)
@@ -123,8 +202,18 @@ def test_equivalences_stays_the_function_after_submodule_import():
     assert repro.equivalences is equivalences
 
 
+def test_synth_fleet_stays_the_function_after_submodule_import():
+    import repro.data
+    import repro.data.synth_fleet
+    from repro.data.synth_fleet import synth_fleet
+
+    assert repro.data.synth_fleet is synth_fleet
+
+
 def test_star_import_binds_every_name():
-    for package in (repro, repro.core):
+    import repro.data
+
+    for package in (repro, repro.core, repro.data):
         namespace: dict = {}
         exec(f"from {package.__name__} import *", namespace)
         assert set(package.__all__) <= set(namespace)
