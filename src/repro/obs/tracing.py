@@ -32,6 +32,7 @@ that schema.  ``docs/observability.md`` documents the span taxonomy.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import sys
@@ -82,7 +83,8 @@ _FILE_LOCK = threading.Lock()
 
 #: One append handle per trace path, opened by its first span and
 #: kept for the process (guarded by ``_FILE_LOCK``).  Every record is
-#: flushed as it is written, so nothing waits in a buffer at exit.
+#: flushed as it is written, so nothing waits in a buffer at exit;
+#: the handles are closed at exit (:func:`_close_handles`).
 #: A trace file replaced while the process runs is not followed.
 _HANDLES: dict[str, Any] = {}
 
@@ -225,6 +227,23 @@ def _write_line(path: str, record: dict[str, Any]) -> None:
                 print(f"repro: cannot write {TRACE_ENV}={path!r} "
                       f"({exc.strerror or exc}); spans are not recorded",
                       file=sys.stderr)
+
+
+@atexit.register
+def _close_handles() -> None:
+    """Close every trace handle, so none is left to interpreter teardown.
+
+    A handle still open at teardown is freed in whatever order the
+    modules go, and then ``ResourceWarning`` may report it on stderr
+    after the process's own output.
+    """
+    with _FILE_LOCK:
+        while _HANDLES:
+            _, fh = _HANDLES.popitem()
+            try:
+                fh.close()
+            except OSError:
+                pass
 
 
 def reset_warnings() -> None:

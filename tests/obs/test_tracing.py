@@ -161,6 +161,30 @@ class TestFileSink:
         assert sorted(json.loads(line)["attrs"]["i"] for line in lines) \
             == sorted(list(range(100)) * 5)
 
+    def test_handles_closed_at_exit(self, tmp_path):
+        """A traced process leaves no open handle to interpreter
+        teardown, where ``ResourceWarning`` would print it after the
+        process's own output."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        path = tmp_path / "exit.jsonl"
+        env = dict(os.environ, REPRO_TRACE=str(path),
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-W", "always::ResourceWarning", "-c",
+             "from repro import obs\n"
+             "with obs.span('exit.one'):\n    pass\n"
+             "print('done')"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert (done.stdout, done.stderr) == ("done\n", "")
+        assert json.loads(path.read_text())["name"] == "exit.one"
+
     def test_unwritable_path_never_raises(self, monkeypatch, tmp_path):
         # Telemetry must not take down the assessment: a directory is
         # unopenable for append, the span silently drops.
