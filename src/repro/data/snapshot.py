@@ -8,12 +8,11 @@ snapshot costs ~10 ms.  :func:`repro.data.top500.default_dataset`
 reads it for :data:`~repro.data.top500.DEFAULT_SEED`.
 
 Synthesis stays the reference: ``python -m repro.data.snapshot``
-rewrites the file from ``generate_top500(DEFAULT_SEED)``, byte for
-byte, and ``tests/data/test_snapshot.py`` holds the decoded dataset
-equal to a fresh synthesis field by field (floats by their bits).
+rewrites the file from ``generate_top500(DEFAULT_SEED)``, and
+``tests/data/test_snapshot.py`` holds the decoded dataset equal to a
+fresh synthesis field by field (floats by their bits).
 
-The format is gzip'd JSON (``mtime=0``, so the bytes depend on the
-content only), never pickle:
+The format is gzip'd JSON, never pickle.  The JSON holds:
 
 * ``header`` — ``format``, ``version``, ``seed`` and ``fields`` (the
   ``TrueSystem`` field names, in order).  Any mismatch with this code
@@ -25,6 +24,12 @@ content only), never pickle:
 * ``plan`` — the :class:`~repro.data.missingness.MissingnessPlan`:
   per-rank hidden-field lists for both scenarios (rank order kept) and
   the sorted rank sets.
+
+The JSON is deterministic, byte for byte; the gzip stream around it is
+not, since its header and deflate output depend on the Python and zlib
+that wrote it (CPython 3.13 writes a different OS byte than 3.11).  So
+"the file is current" means its *decompressed* JSON equals a
+regeneration's, which is what the test and CI compare.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def _truth(row: list) -> TrueSystem:
 
 
 def encode(dataset: Top500Dataset) -> bytes:
-    """The snapshot file's bytes for ``dataset`` (deterministic)."""
+    """The snapshot file's bytes for ``dataset``: gzip'd JSON."""
     plan = dataset.plan
     doc = {
         "header": {"format": FORMAT, "version": VERSION,

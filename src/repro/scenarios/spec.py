@@ -81,20 +81,13 @@ _SCALE_FIELDS = ("aci_scale", "memory_factor_scale", "storage_factor_scale")
 # table, not 64 of each).  Keyed by base identity + the derivation
 # parameters; each entry pins the base object (a freed base's id could
 # otherwise be reused and serve another object's derivation) and is
-# re-derived on an identity mismatch.  Bounded FIFO.  The lowered
-# models themselves are memoized the same way, keyed by spec and base
-# identity: a spec tuple reused across sweeps (the daemon's memoized
-# ``build_specs``) lowers once per base model, not once per sweep.
+# re-derived on an identity mismatch.  Bounded FIFO.
 _DERIVED_CACHE_MAX = 64
 _SCALED_GRID_CACHE: dict[
-    tuple[int, float], tuple[tuple, GridIntensityDB]] = {}
+    tuple[int, float], tuple[object, GridIntensityDB]] = {}
 _DERIVED_CATALOG_CACHE: dict[
     tuple[int, float | None, float | None],
-    tuple[tuple, HardwareCatalog]] = {}
-_LOWERED_OPERATIONAL_CACHE: dict[
-    tuple[int, int], tuple[tuple, OperationalModel]] = {}
-_LOWERED_EMBODIED_CACHE: dict[
-    tuple[int, int], tuple[tuple, EmbodiedModel]] = {}
+    tuple[object, HardwareCatalog]] = {}
 
 
 def validate_growth_rate(field_name: str, value: float) -> float:
@@ -110,10 +103,10 @@ def validate_growth_rate(field_name: str, value: float) -> float:
     return value
 
 
-def _cached(cache: dict, key, sources: tuple, build):
+def _cached(cache: dict, key, source, build):
     entry = cache.get(key)
-    if entry is None or any(a is not b for a, b in zip(entry[0], sources)):
-        entry = cache[key] = (sources, build())
+    if entry is None or entry[0] is not source:
+        entry = cache[key] = (source, build())
         while len(cache) > _DERIVED_CACHE_MAX:
             cache.pop(next(iter(cache)))
     return entry[1]
@@ -329,7 +322,7 @@ class ScenarioSpec:
         return _cached(
             _DERIVED_CATALOG_CACHE,
             (id(catalog), self.memory_factor_scale, self.storage_factor_scale),
-            (catalog,), build)
+            catalog, build)
 
     def operational_model(self, base: OperationalModel) -> OperationalModel:
         """Lower this spec to a concrete operational model over ``base``.
@@ -337,20 +330,15 @@ class ScenarioSpec:
         Deterministic: lowering the same spec against the same base
         twice yields models that resolve every input to the identical
         float — the bit-identity anchor shared by the 2-D kernel and
-        the scalar reference loop.  Memoized by spec and base identity,
-        so a repeat lowering returns the very same model object.
+        the scalar reference loop.
         """
-        return _cached(_LOWERED_OPERATIONAL_CACHE, (id(self), id(base)),
-                       (self, base), lambda: self._lower_operational(base))
-
-    def _lower_operational(self, base: OperationalModel) -> OperationalModel:
         changes: dict[str, object] = {}
         grid = self.grid if self.grid is not None else base.grid
         factor = self.grid_scale_factor()
         if factor != 1.0:
             source = grid
             grid = _cached(_SCALED_GRID_CACHE, (id(source), factor),
-                           (source,), lambda: source.scaled(factor))
+                           source, lambda: source.scaled(factor))
         if grid is not base.grid:
             changes["grid"] = grid
         pue = self.pue if self.pue is not None else base.pue
@@ -373,14 +361,7 @@ class ScenarioSpec:
         return dataclasses.replace(base, **changes) if changes else base
 
     def embodied_model(self, base: EmbodiedModel) -> EmbodiedModel:
-        """Lower this spec to a concrete embodied model over ``base``.
-
-        Memoized like :meth:`operational_model`.
-        """
-        return _cached(_LOWERED_EMBODIED_CACHE, (id(self), id(base)),
-                       (self, base), lambda: self._lower_embodied(base))
-
-    def _lower_embodied(self, base: EmbodiedModel) -> EmbodiedModel:
+        """Lower this spec to a concrete embodied model over ``base``."""
         changes: dict[str, object] = {}
         catalog = self.derived_catalog(base.catalog)
         if catalog is not base.catalog:

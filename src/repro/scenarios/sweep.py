@@ -29,7 +29,6 @@ scalar model per record.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -45,17 +44,6 @@ from repro.scenarios.cube import ScenarioCube
 from repro.scenarios.spec import ScenarioGrid, ScenarioSpec, _as_specs
 
 __all__ = ["sweep", "sweep_scalar_reference"]
-
-
-@functools.cache
-def _default_models() -> tuple[OperationalModel, EmbodiedModel]:
-    """The paper-default base models, one shared pair per process.
-
-    Spec lowering is memoized by base identity, so a caller that omits
-    the base models (the daemon's batches) lowers each spec once, not
-    once per sweep.
-    """
-    return OperationalModel(), EmbodiedModel()
 
 
 def sweep(records: Sequence[SystemRecord],
@@ -81,9 +69,8 @@ def sweep(records: Sequence[SystemRecord],
         recorded grid size (``docs/performance.md``).
     """
     specs = _as_specs(specs)
-    default_op, default_emb = _default_models()
-    base_op = operational_model or default_op
-    base_emb = embodied_model or default_emb
+    base_op = operational_model or OperationalModel()
+    base_emb = embodied_model or EmbodiedModel()
     records = list(records)
     if frame is None:
         frame = fleet_frame(records)
@@ -136,9 +123,8 @@ def sweep_scalar_reference(records: Sequence[SystemRecord],
     value and uncertainty arrays.
     """
     specs = _as_specs(specs)
-    default_op, default_emb = _default_models()
-    base_op = operational_model or default_op
-    base_emb = embodied_model or default_emb
+    base_op = operational_model or OperationalModel()
+    base_emb = embodied_model or EmbodiedModel()
     records = list(records)
     n_scen, n = len(specs), len(records)
 
