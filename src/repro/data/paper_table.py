@@ -3,9 +3,9 @@
 Table II prints, for each of the 500 systems, the operational and
 embodied carbon under three data scenarios — ``top500.org``,
 ``+public info``, ``+interpolated`` — leaving blank the cells a
-scenario could not cover.  Our transcription (``table2_raw.txt``)
-preserves only the *printed* values per row, so the parser must recover
-which of the six cells each value belongs to.
+scenario could not cover.  The data file preserves only the *printed*
+values per row, so the parser must recover which of the six cells each
+value belongs to.
 
 Two structural invariants make this tractable (§6 of DESIGN.md):
 
@@ -28,15 +28,34 @@ strictly dominates embodied coverage in the paper (391 vs 283 baseline,
 likely than ``(1,3)`` when both parse.  Aggregate totals are validated
 against the paper's printed numbers in
 ``tests/data/test_paper_table.py``.
+
+Two files next to this module can hold the table, in the same
+``rank|name|v1 v2 ...`` format (``#`` lines are comments); the first
+one present is read:
+
+1. ``table2_raw.txt`` — a transcription of the paper's appendix.  It is
+   not redistributable, so the repository ships none.
+2. ``table2_standin.txt`` — the committed, calibrated stand-in that
+   :mod:`repro.data.table2_synth` synthesizes.  ``python -m
+   repro.data.snapshot`` rewrites it, and
+   ``tests/data/test_snapshot.py`` holds it equal to a fresh synthesis.
+
+Nothing synthesizes at run time: with neither file present,
+:func:`load_paper_table` raises :class:`~repro.errors.ParseError`.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.resources
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.errors import ParseError
+
+#: A transcription of the paper's table; read first when present.
+TRANSCRIPTION_PATH = Path(__file__).with_name("table2_raw.txt")
+#: The committed synthesized stand-in, read when there is no transcription.
+STANDIN_PATH = Path(__file__).with_name("table2_standin.txt")
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,26 +154,32 @@ def _parse_line(line: str) -> PaperSystem:
                        operational=operational, embodied=embodied)
 
 
+def _table_text() -> str:
+    for path in (TRANSCRIPTION_PATH, STANDIN_PATH):
+        try:
+            return path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            continue
+    raise ParseError(
+        f"no Table II data in {STANDIN_PATH.parent}: neither "
+        f"{TRANSCRIPTION_PATH.name} nor {STANDIN_PATH.name} exists; "
+        f"regenerate the stand-in with `python -m repro.data.snapshot`")
+
+
 @functools.cache
 def load_paper_table() -> tuple[PaperSystem, ...]:
     """Load and parse the embedded Table II (cached; 500 rows).
 
-    When the raw transcription file is absent (it is not
-    redistributable), a deterministic calibrated stand-in is
-    synthesized by :mod:`repro.data.table2_synth` instead — same
-    format, same printed aggregates and named anchors.
+    Reads ``table2_raw.txt`` if a transcription is present, otherwise
+    the committed stand-in ``table2_standin.txt`` — same format, same
+    printed aggregates and named anchors (see the module docstring).
 
     Raises:
-        ParseError: on malformed data, duplicate or missing ranks.
+        ParseError: on malformed data, duplicate or missing ranks, or
+            when neither file is present.
     """
-    try:
-        text = (importlib.resources.files("repro.data")
-                .joinpath("table2_raw.txt").read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        from repro.data.table2_synth import table2_text
-        text = table2_text()
     systems: list[PaperSystem] = []
-    for line in text.splitlines():
+    for line in _table_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

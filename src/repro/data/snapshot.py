@@ -12,6 +12,12 @@ rewrites the file from ``generate_top500(DEFAULT_SEED)``, and
 ``tests/data/test_snapshot.py`` holds the decoded dataset equal to a
 fresh synthesis field by field (floats by their bits).
 
+The same command rewrites the one other committed artifact, the Table
+II stand-in ``table2_standin.txt`` that ``repro report`` reads (see
+:mod:`repro.data.paper_table`), from
+:func:`repro.data.table2_synth.table2_text`; it is plain text, compared
+byte for byte.
+
 The format is gzip'd JSON, never pickle.  The JSON holds:
 
 * ``header`` — ``format``, ``version``, ``seed`` and ``fields`` (the
@@ -133,13 +139,24 @@ def load(path: Path = PATH, seed: int = DEFAULT_SEED) -> Top500Dataset:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.data.snapshot [PATH]``: rewrite the snapshot."""
+    """``python -m repro.data.snapshot [DIR]``: rewrite both artifacts.
+
+    Writes ``top500_default.json.gz`` and ``table2_standin.txt`` into
+    ``DIR`` (created if missing; default: the package's data directory,
+    where the committed files live).
+    """
+    from repro.data.paper_table import STANDIN_PATH
+    from repro.data.table2_synth import table2_text
     from repro.data.top500 import generate_top500
 
     args = sys.argv[1:] if argv is None else argv
-    target = Path(args[0]) if args else PATH
-    target.write_bytes(encode(generate_top500(DEFAULT_SEED)))
-    print(f"wrote {target}")
+    directory = Path(args[0]) if args else PATH.parent
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, data in (
+            (PATH.name, encode(generate_top500(DEFAULT_SEED))),
+            (STANDIN_PATH.name, table2_text().encode("utf-8"))):
+        (directory / name).write_bytes(data)
+        print(f"wrote {directory / name}")
     return 0
 
 

@@ -2,10 +2,14 @@
 
 The original transcription of the paper's appendix table
 (``table2_raw.txt``) is not redistributable with the repository, so
-this module regenerates a calibrated stand-in on first load.  The
-synthesis is fully deterministic (hash-based pseudo-noise, no RNG
-state) and is constructed to land exactly on every number the paper
-prints and the test-suite anchors:
+this module synthesizes a calibrated stand-in.  It does not run when a
+command loads the table: :func:`~repro.data.paper_table.load_paper_table`
+reads ``table2_raw.txt`` if present, otherwise the committed
+``table2_standin.txt``, which ``python -m repro.data.snapshot`` rewrites
+from :func:`table2_text` (``tests/data/test_snapshot.py`` holds the two
+equal).  The synthesis is fully deterministic (hash-based pseudo-noise,
+no RNG state) and is constructed to land exactly on every number the
+paper prints and the test-suite anchors:
 
 * coverage counts per scenario — 391/490 operational, 283/404 embodied,
   with 10 and 96 interpolation-only systems;

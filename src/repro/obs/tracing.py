@@ -48,6 +48,7 @@ __all__ = [
     "Trace",
     "span",
     "capture",
+    "close_sinks",
     "current_span_id",
     "tracing_active",
     "validate_record",
@@ -84,7 +85,8 @@ _FILE_LOCK = threading.Lock()
 #: One append handle per trace path, opened by its first span and
 #: kept for the process (guarded by ``_FILE_LOCK``).  Every record is
 #: flushed as it is written, so nothing waits in a buffer at exit;
-#: the handles are closed at exit (:func:`_close_handles`).
+#: the handles are closed by :func:`close_sinks`, at interpreter exit
+#: or by ``python -m repro`` before it ends the process.
 #: A trace file replaced while the process runs is not followed.
 _HANDLES: dict[str, Any] = {}
 
@@ -230,12 +232,14 @@ def _write_line(path: str, record: dict[str, Any]) -> None:
 
 
 @atexit.register
-def _close_handles() -> None:
-    """Close every trace handle, so none is left to interpreter teardown.
+def close_sinks() -> None:
+    """Close every ``REPRO_TRACE`` handle; a later span reopens its file.
 
-    A handle still open at teardown is freed in whatever order the
-    modules go, and then ``ResourceWarning`` may report it on stderr
-    after the process's own output.
+    Registered with :mod:`atexit`, so no handle is left to interpreter
+    teardown, where it is freed in whatever order the modules go and
+    ``ResourceWarning`` may report it on stderr after the process's own
+    output.  ``python -m repro`` ends its process with ``os._exit``,
+    which runs no ``atexit`` hook, so it calls this itself first.
     """
     with _FILE_LOCK:
         while _HANDLES:

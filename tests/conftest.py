@@ -112,7 +112,7 @@ def pytest_runtest_teardown(item):
 #: Test paths, relative to this directory, that start processes or
 #: write files through temp-then-rename, and so get the leak check.
 LEAK_CHECKED = ("serve/", "parallel/", "test_fleets_and_cli.py",
-                "obs/test_profile_cli.py")
+                "obs/test_profile_cli.py", "test_main_exit.py")
 #: How long a just-signalled child may take to exit before it counts.
 LEAK_GRACE_S = 1.0
 

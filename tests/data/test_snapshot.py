@@ -1,4 +1,4 @@
-"""The committed default-Top500 snapshot is the synthesized list, exactly.
+"""The committed data files are what synthesis writes, exactly.
 
 ``default_dataset()`` decodes ``repro/data/top500_default.json.gz``
 instead of synthesizing the default seed.  These tests hold the decoded
@@ -6,6 +6,10 @@ dataset equal to ``generate_top500(DEFAULT_SEED)`` field by field (floats
 by their bits), the file's JSON equal to what ``python -m
 repro.data.snapshot`` writes (the gzip bytes around it depend on the
 Python and zlib that compressed it), and every header or payload mismatch a :class:`ParseError`.
+
+``load_paper_table()`` reads the committed Table II stand-in
+``repro/data/table2_standin.txt`` instead of synthesizing it; it must be
+``table2_text()`` byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import struct
 
 import pytest
 
-from repro.data import snapshot, top500
+from repro.data import paper_table, snapshot, table2_synth, top500
 from repro.data.top500 import DEFAULT_SEED, TrueSystem, generate_top500
 from repro.errors import ParseError
 
@@ -68,9 +72,53 @@ def test_file_content_is_what_regeneration_writes(committed, dataset,
                                                   tmp_path):
     content = gzip.decompress(committed)
     assert gzip.decompress(snapshot.encode(dataset)) == content
-    target = tmp_path / "snap.json.gz"
+    target = tmp_path / "fresh"
     assert snapshot.main([str(target)]) == 0
-    assert gzip.decompress(target.read_bytes()) == content
+    assert sorted(p.name for p in target.iterdir()) == \
+        sorted([snapshot.PATH.name, paper_table.STANDIN_PATH.name])
+    assert gzip.decompress((target / snapshot.PATH.name).read_bytes()) \
+        == content
+    assert (target / paper_table.STANDIN_PATH.name).read_bytes() == \
+        paper_table.STANDIN_PATH.read_bytes()
+
+
+def test_committed_table2_standin_is_the_synthesis():
+    assert paper_table.STANDIN_PATH.read_text(encoding="utf-8") == \
+        table2_synth.table2_text.__wrapped__()
+
+
+def test_paper_table_reads_the_standin_and_never_synthesizes(monkeypatch):
+    def no_synthesis():
+        raise AssertionError("Table II must not be synthesized")
+
+    monkeypatch.setattr(table2_synth, "table2_text", no_synthesis)
+    monkeypatch.setattr(table2_synth, "_build_rows", no_synthesis)
+    assert paper_table.load_paper_table.__wrapped__() == \
+        paper_table.load_paper_table()
+
+
+def test_a_transcription_takes_precedence(monkeypatch, tmp_path):
+    transcription = tmp_path / "table2_raw.txt"
+    transcription.write_text(
+        paper_table.STANDIN_PATH.read_text(encoding="utf-8").replace(
+            "1|El Capitan|", "1|El Capitan (transcribed)|"),
+        encoding="utf-8")
+    monkeypatch.setattr(paper_table, "TRANSCRIPTION_PATH", transcription)
+    table = paper_table.load_paper_table.__wrapped__()
+    assert table[0].name == "El Capitan (transcribed)"
+    assert table[1:] == paper_table.load_paper_table()[1:]
+
+
+def test_missing_standin_names_the_regeneration_command(monkeypatch,
+                                                        tmp_path):
+    monkeypatch.setattr(paper_table, "TRANSCRIPTION_PATH",
+                        tmp_path / "table2_raw.txt")
+    monkeypatch.setattr(paper_table, "STANDIN_PATH",
+                        tmp_path / "table2_standin.txt")
+    with pytest.raises(ParseError,
+                       match=r"table2_standin\.txt.*"
+                             r"`python -m repro\.data\.snapshot`"):
+        paper_table.load_paper_table.__wrapped__()
 
 
 def test_default_dataset_reads_the_snapshot(monkeypatch, dataset):
